@@ -28,6 +28,10 @@ from .strategies import (
 )
 
 
+# Frobenius tolerance at which the CLI validates strategy files.
+CLI_TOL = 1e-10
+
+
 class UsageError(Exception):
     pass
 
@@ -65,6 +69,9 @@ def _cmd_value(args) -> int:
 
 def _cmd_score(args) -> int:
     r = load_reflection(_read_json(args.infile))
+    report = validate(r, CLI_TOL)
+    if not report.passed:
+        raise StrategyValidationError(report)
     print(f"{score(r):.12f}")
     for (j, v), term in losing_terms(r).items():
         print(f"{j} {v} {term:.12f}")
@@ -107,7 +114,8 @@ def _cmd_scaling_study(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(rows_to_csv(rows))
     dump_json(fit, args.summary)
-    print(f"slope {fit['slope']:.6f}  max_ratio_state {fit['max_ratio_state']:.3f}  n_rows {fit['n_rows']}")
+    slope = "n/a" if fit["slope"] is None else f"{fit['slope']:.6f}"
+    print(f"slope {slope}  max_ratio_state {fit['max_ratio_state']:.3f}  n_rows {fit['n_rows']}")
     return 0
 
 
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the reflection-strategy axioms")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=CLI_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("certify", help="write the full rigidity certificate")

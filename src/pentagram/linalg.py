@@ -187,11 +187,25 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"entry {_first_bad_entry(data)} is not a [re, im] pair of numbers") from None
     m = flat.reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _first_bad_entry(data) -> int:
+    """Index of the first entry that the [re, im] conversion rejects."""
+    for i, entry in enumerate(data):
+        try:
+            re, im = entry
+            complex(re, im)
+        except (TypeError, ValueError):
+            return i
+    return -1
 
 
 def dump_json(obj, path) -> None:

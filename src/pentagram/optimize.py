@@ -273,13 +273,13 @@ def fit_summary(rows) -> dict:
     eps = np.array([row.epsilon for row in rows])
     res = np.array([row.state_residual for row in rows])
     keep = (eps > 0) & (res > 0)
+    # null, not NaN, when no line can be fitted: bare NaN is not valid JSON
+    slope, intercept = None, None
     if keep.sum() >= 2:
-        slope, intercept = np.polyfit(np.log(eps[keep]), np.log(res[keep]), 1)
-    else:
-        slope, intercept = float("nan"), float("nan")
+        slope, intercept = map(float, np.polyfit(np.log(eps[keep]), np.log(res[keep]), 1))
     return {
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "max_ratio_state": float(max((row.ratio_state for row in rows), default=0.0)),
         "max_ratio_op": float(max((row.ratio_op for row in rows), default=0.0)),
         "n_rows": len(rows),

@@ -29,17 +29,14 @@ import numpy as np
 from .linalg import (
     BELL_KINDS,
     HADAMARD,
-    PAULI_X,
-    PAULI_Z,
     PLUS,
     as_matrix,
     bell_matrix,
-    embed_factor,
     frobenius_norm,
-    kron_all,
     matrix_to_json,
 )
 from .strategies import (
+    DistinguishedReflections,
     ReflectionStrategy,
     ValidationReport,
     losing_terms,
@@ -55,7 +52,10 @@ class StrategyValidationError(ValueError):
 
     def __init__(self, report: ValidationReport):
         self.report = report
-        super().__init__(f"strategy failed validation at tol={report.tol}: {report.deviations()}")
+        failing = ", ".join(
+            f"{name} {dev:.3e}" for name, dev in report.deviations().items() if not dev <= report.tol
+        )
+        super().__init__(f"strategy failed validation at tol={report.tol}: {failing}")
 
 
 @dataclass
@@ -64,7 +64,6 @@ class LocalIsometry:
 
     side: str
     matrix: np.ndarray
-    components: list[np.ndarray]
 
 
 @dataclass
@@ -103,17 +102,6 @@ class RigidityReport:
         return max(self.consistency_residuals.values())
 
 
-def _controlled_on(u: np.ndarray, control_slot: int, dims: list[int]) -> np.ndarray:
-    """Controlled-u on a tensor chain: control qubit at `control_slot`, target slot 0."""
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    idle = embed_factor(p0, control_slot, dims)
-    active = [np.eye(d, dtype=complex) for d in dims]
-    active[0] = u
-    active[control_slot] = p1
-    return idle + kron_all(active)
-
-
 def _check_reflection(m: np.ndarray, tol: float) -> None:
     m = as_matrix(m)
     n = m.shape[0]
@@ -122,6 +110,12 @@ def _check_reflection(m: np.ndarray, tol: float) -> None:
     dev = max(frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n)))
     if dev > tol:
         raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
+
+
+def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
+    """Apply u to the original-space axis of t where ancilla k is |1>, in place."""
+    one = (slice(None),) * k + (1,)
+    t[one] = np.tensordot(u, t[one], axes=1)
 
 
 def build_isometry(
@@ -134,55 +128,44 @@ def build_isometry(
 
     Ancilla k is processed last-to-first, so the constructed matrix is
     U_1 U_2 U_3 (I (x) |+++>) with U_k = C_k(x_ops[k]) H_k C_k(z_ops[k]).
+    The circuit runs on a (d, 2, 2, 2, d) tensor with axes (original space,
+    Q1, Q2, Q3, input space): each controlled reflection multiplies the
+    ancilla-k = 1 slice and the Hadamard mixes the two slices of axis k.
     """
     if len(x_ops) != 3 or len(z_ops) != 3:
         raise ValueError("expected exactly 3 X-type and 3 Z-type reflections")
+    x_ops, z_ops = [as_matrix(m) for m in x_ops], [as_matrix(m) for m in z_ops]
     for m in (*x_ops, *z_ops):
         _check_reflection(m, tol)
-    d = as_matrix(x_ops[0]).shape[0]
-    if any(as_matrix(m).shape != (d, d) for m in (*x_ops, *z_ops)):
+    d = x_ops[0].shape[0]
+    if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
         raise ValueError("all reflections must share one dimension")
 
-    dims = [d, 2, 2, 2]
-    total = np.eye(8 * d, dtype=complex)
-    components = []
-    for k in (1, 2, 3):
-        u = (
-            _controlled_on(x_ops[k - 1], k, dims)
-            @ embed_factor(HADAMARD, k, dims)
-            @ _controlled_on(z_ops[k - 1], k, dims)
-        )
-        total = total @ u
-        single_dims = [d, 2]
-        comp = (
-            _controlled_on(x_ops[k - 1], 1, single_dims)
-            @ embed_factor(HADAMARD, 1, single_dims)
-            @ _controlled_on(z_ops[k - 1], 1, single_dims)
-            @ np.kron(np.eye(d, dtype=complex), PLUS.reshape(2, 1))
-        )
-        components.append(comp)
-    append = np.kron(np.eye(d, dtype=complex), kron_all([PLUS.reshape(2, 1)] * 3))
-    return LocalIsometry(side=side, matrix=total @ append, components=components)
+    t = np.einsum("ab,i,j,k->aijkb", np.eye(d, dtype=complex), PLUS, PLUS, PLUS)
+    for k in (3, 2, 1):
+        _controlled(t, k, z_ops[k - 1])
+        t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, k)), 0, k)
+        _controlled(t, k, x_ops[k - 1])
+    return LocalIsometry(side=side, matrix=t.reshape(8 * d, d))
+
+
+# Indices of the simulated Pauli pairs each side's isometry extracts.
+_REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
+
+
+def _isometry(dist: DistinguishedReflections, side: str, tol: float = 1e-8) -> LocalIsometry:
+    regs = _REGISTERS[side]
+    return build_isometry(
+        [dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs], side=side, tol=tol
+    )
 
 
 def alice_isometry(r: ReflectionStrategy, tol: float = 1e-8) -> LocalIsometry:
-    dist = select_distinguished(r)
-    return build_isometry(
-        [dist.x_prime[i] for i in (1, 2, 3)],
-        [dist.z_prime[i] for i in (1, 2, 3)],
-        side="alice",
-        tol=tol,
-    )
+    return _isometry(select_distinguished(r), "alice", tol)
 
 
 def bob_isometry(r: ReflectionStrategy, tol: float = 1e-8) -> LocalIsometry:
-    dist = select_distinguished(r)
-    return build_isometry(
-        [dist.x_prime[i] for i in (4, 5, 6)],
-        [dist.z_prime[i] for i in (4, 5, 6)],
-        side="bob",
-        tol=tol,
-    )
+    return _isometry(select_distinguished(r), "bob", tol)
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -199,9 +182,64 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     return out
 
 
-def _ancilla_pauli(which: str, register: int, d: int) -> np.ndarray:
-    op = PAULI_X if which == "X" else PAULI_Z
-    return embed_factor(op, register, [d, 2, 2, 2])
+@dataclass
+class _Images:
+    """The simulated Pauli table and each requested side's image of the state.
+
+    sides["alice"] is (V_A, V_A L) and sides["bob"] is (V_B^dagger,
+    L V_B^dagger), so every residual family reuses the isometries built once.
+    """
+
+    dist: DistinguishedReflections
+    sides: dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def _images(r: ReflectionStrategy, sides=("alice", "bob")) -> _Images:
+    dist = select_distinguished(r)
+    out = {}
+    for side in sides:
+        v = _isometry(dist, side).matrix
+        out[side] = (v, v @ r.L) if side == "alice" else (v.conj().T, r.L @ v.conj().T)
+    return _Images(dist=dist, sides=out)
+
+
+def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
+    """Pauli X or Z on the ancilla axis `axis` of a register tensor.
+
+    Both Paulis are real symmetric, so this one map is left multiplication
+    on Alice's row registers and right multiplication on Bob's column ones.
+    """
+    if which == "X":
+        return np.flip(t, axis)
+    return t * np.array([1.0, -1.0]).reshape((2,) + (1,) * (t.ndim - axis - 1))
+
+
+def _word_residual(r: ReflectionStrategy, im: _Images, side: str, parsed) -> float:
+    prime = {"X": im.dist.x_prime, "Z": im.dist.z_prime}
+    v, image = im.sides[side]
+    rhs = r.L
+    if side == "alice":
+        # rows of V_A L are (Alice's space, Q1, Q2, Q3): Qi is axis i
+        lhs = image.reshape(r.dim_a, 2, 2, 2, r.dim_b)
+        for which, idx in reversed(parsed):
+            lhs = _ancilla_pauli(lhs, which, idx)
+            rhs = prime[which][idx] @ rhs
+        return frobenius_norm(lhs.reshape(image.shape) - v @ rhs)
+    # columns of L V_B^dagger are (Bob's space, Q4, Q5, Q6): Qi is axis i - 2
+    lhs = image.reshape(r.dim_a, r.dim_b, 2, 2, 2)
+    for which, idx in reversed(parsed):
+        lhs = _ancilla_pauli(lhs, which, idx - 2)
+        rhs = rhs @ prime[which][idx]
+    return frobenius_norm(lhs.reshape(image.shape) - rhs @ v)
+
+
+def _operator_residuals(r: ReflectionStrategy, im: _Images) -> dict[str, float]:
+    return {
+        f"{which}{i}": _word_residual(r, im, side, [(which, i)])
+        for side, regs in _REGISTERS.items()
+        for i in regs
+        for which in ("X", "Z")
+    }
 
 
 def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
@@ -211,21 +249,7 @@ def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
     keys X4..Z6 measure || (L V_B^dagger) P_i - (L O'_i) V_B^dagger || on
     Bob's, where P_i is the ancilla Pauli and O'_i the simulated operator.
     """
-    dist = select_distinguished(r)
-    va = alice_isometry(r).matrix
-    vb = bob_isometry(r).matrix
-    out: dict[str, float] = {}
-    val = va @ r.L
-    for i in (1, 2, 3):
-        for which, ops in (("X", dist.x_prime), ("Z", dist.z_prime)):
-            pauli = _ancilla_pauli(which, i, r.dim_a)
-            out[f"{which}{i}"] = frobenius_norm(pauli @ val - va @ (ops[i] @ r.L))
-    lvb = r.L @ vb.conj().T
-    for i in (4, 5, 6):
-        for which, ops in (("X", dist.x_prime), ("Z", dist.z_prime)):
-            pauli = _ancilla_pauli(which, i - 3, r.dim_b)
-            out[f"{which}{i}"] = frobenius_norm(lvb @ pauli - (r.L @ ops[i]) @ vb.conj().T)
-    return out
+    return _operator_residuals(r, _images(r))
 
 
 def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
@@ -252,38 +276,11 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     right multiplication and reversed application order.
     """
     side, parsed = _parse_word(word)
-    dist = select_distinguished(r)
-    prime = {"X": dist.x_prime, "Z": dist.z_prime}
-    if side == "alice":
-        va = alice_isometry(r).matrix
-        lhs = va @ r.L
-        rhs = r.L.copy()
-        for which, idx in reversed(parsed):
-            lhs = _ancilla_pauli(which, idx, r.dim_a) @ lhs
-            rhs = prime[which][idx] @ rhs
-        return frobenius_norm(lhs - va @ rhs)
-    vb = bob_isometry(r).matrix
-    lhs = r.L @ vb.conj().T
-    rhs = r.L.copy()
-    for which, idx in reversed(parsed):
-        lhs = lhs @ _ancilla_pauli(which, idx - 3, r.dim_b)
-        rhs = rhs @ prime[which][idx]
-    return frobenius_norm(lhs - rhs @ vb.conj().T)
+    return _word_residual(r, _images(r, (side,)), side, parsed)
 
 
-def extract_state(r: ReflectionStrategy) -> StateExtraction:
-    """Bell-decompose the isometry image of the shared state.
-
-    P = V_A L V_B^dagger is expanded over the orthonormal Bell basis on each
-    ancilla pair (Qi, Q(i+3)); the weight of a triple is the squared
-    Frobenius norm of its coefficient block.  The junk state is the
-    (phi+, phi+, phi+) block, which among all product candidates minimizes
-    || junk (x) phi+ (x) phi+ (x) phi+ - P ||; the minimum is the reported
-    state_residual = sqrt(||P||^2 - ||junk||^2).
-    """
-    va = alice_isometry(r).matrix
-    vb = bob_isometry(r).matrix
-    P = va @ r.L @ vb.conj().T
+def _extract_state(r: ReflectionStrategy, im: _Images) -> StateExtraction:
+    P = im.sides["alice"][1] @ im.sides["bob"][0]
     da, db = r.dim_a, r.dim_b
     Pr = P.reshape(da, 2, 2, 2, db, 2, 2, 2)
     basis = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj()
@@ -298,6 +295,18 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     residual = float(np.sqrt(max(off_target, 0.0)))
     return StateExtraction(P=P, bell_weights=weights, junk=junk, state_residual=residual)
 
+
+def extract_state(r: ReflectionStrategy) -> StateExtraction:
+    """Bell-decompose the isometry image of the shared state.
+
+    P = V_A L V_B^dagger is expanded over the orthonormal Bell basis on each
+    ancilla pair (Qi, Q(i+3)); the weight of a triple is the squared
+    Frobenius norm of its coefficient block.  The junk state is the
+    (phi+, phi+, phi+) block, which among all product candidates minimizes
+    || junk (x) phi+ (x) phi+ (x) phi+ - P ||; the minimum is the reported
+    state_residual = sqrt(||P||^2 - ||junk||^2).
+    """
+    return _extract_state(r, _images(r))
 
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
     """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts."""
@@ -386,8 +395,9 @@ def certify(
     terms = losing_terms(r)
     epsilon = sum(terms.values()) / 20.0
     consistency = consistency_residuals(r)
-    ops = operator_residuals(r)
-    extraction = extract_state(r)
+    images = _images(r)
+    ops = _operator_residuals(r, images)
+    extraction = _extract_state(r, images)
     change = context_change_residuals(r)
     comm, anti = _pair_residuals(r)
     words = _sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed)

@@ -369,30 +369,38 @@ def projective_to_json(p: ProjectiveStrategy) -> dict:
     }
 
 
+def _decode(obj, name: str) -> np.ndarray:
+    """matrix_from_json, with the field name in its error message."""
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"matrix {name}: {exc}") from None
+
+
 def strategy_from_json(obj: dict, game: PentagramGame | None = None):
     """Decode either strategy format, detected by its keys."""
     game = game or PentagramGame()
     if "L" in obj and "R" in obj:
         alice = {
-            j: {int(v): matrix_from_json(m) for v, m in ctx.items()}
+            j: {int(v): _decode(m, f"R.{j}.{v}") for v, m in ctx.items()}
             for j, ctx in obj["R"].items()
         }
-        bob = {int(v): matrix_from_json(m) for v, m in obj["S"].items()}
-        return ReflectionStrategy(L=matrix_from_json(obj["L"]), alice=alice, bob=bob, game=game)
+        bob = {int(v): _decode(m, f"S.{v}") for v, m in obj["S"].items()}
+        return ReflectionStrategy(L=_decode(obj["L"], "L"), alice=alice, bob=bob, game=game)
     if "psi" in obj and "M" in obj:
         dim_a, dim_b = int(obj["dim_a"]), int(obj["dim_b"])
         alice = {
             j: {
-                tuple(int(c) for c in key): matrix_from_json(m)
+                tuple(int(c) for c in key): _decode(m, f"M.{j}.{key}")
                 for key, m in ctx.items()
             }
             for j, ctx in obj["M"].items()
         }
         bob = {
-            int(v): (matrix_from_json(pair["0"]), matrix_from_json(pair["1"]))
+            int(v): (_decode(pair["0"], f"N.{v}.0"), _decode(pair["1"], f"N.{v}.1"))
             for v, pair in obj["N"].items()
         }
-        psi = matrix_from_json(obj["psi"]).ravel()
+        psi = _decode(obj["psi"], "psi").ravel()
         return ProjectiveStrategy(
             psi=psi, dim_a=dim_a, dim_b=dim_b, alice=alice, bob=bob, game=game
         )

@@ -116,6 +116,23 @@ class TestScalingStudy:
         fit = json.loads(summary.read_text())
         assert set(fit) == {"slope", "intercept", "max_ratio_state", "max_ratio_op", "n_rows"}
 
+    def test_no_rows_summary_is_strict_json(self, capsys, tmp_path):
+        csv = tmp_path / "rows.csv"
+        summary = tmp_path / "fit.json"
+        code, out, _ = run(
+            capsys, "scaling-study", "--deltas", "0.01", "--samples", "0",
+            "--seed", "7", "--out", str(csv), "--summary", str(summary),
+        )
+        assert code == 0
+        assert out.startswith("slope n/a ")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        fit = json.loads(summary.read_text(), parse_constant=reject)
+        assert fit["slope"] is None and fit["intercept"] is None
+        assert fit["n_rows"] == 0
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys, tmp_path):
@@ -153,3 +170,31 @@ class TestExitCodes:
 
         report = tmp_path / "report.json"
         assert run(capsys, "certify", "--in", str(broken), "--out", str(report))[0] == 2
+
+    @pytest.mark.parametrize("factor", [0.0, 2.0])
+    def test_score_rejects_unnormalized_state(self, capsys, tmp_path, factor):
+        ideal = tmp_path / "ideal.json"
+        run(capsys, "export-ideal", "--out", str(ideal))
+        obj = json.loads(ideal.read_text())
+        obj["L"]["data"] = [[factor * re, factor * im] for re, im in obj["L"]["data"]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+
+        code, out, err = run(capsys, "score", "--in", str(broken))
+        assert code == 2
+        assert out == ""
+        assert "state_norm 1.000e+00" in err
+        assert "hermiticity" not in err
+
+    def test_string_matrix_entry(self, capsys, tmp_path):
+        ideal = tmp_path / "ideal.json"
+        run(capsys, "export-ideal", "--out", str(ideal))
+        obj = json.loads(ideal.read_text())
+        obj["L"]["data"][5] = ["0.35", 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+
+        for argv in (["certify", "--out", str(tmp_path / "report.json")], ["score"]):
+            code, _, err = run(capsys, *argv, "--in", str(bad))
+            assert code == 1
+            assert err == "error: matrix L: entry 5 is not a [re, im] pair of numbers\n"

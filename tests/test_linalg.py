@@ -284,3 +284,9 @@ class TestJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "data": []})
+
+    @pytest.mark.parametrize("entry", [["0.35", 0.0], [0.0, None], [1.0], 7])
+    def test_bad_entry_named(self, entry):
+        data = [[1.0, 0.0], [0.0, 0.0], entry, [1.0, 0.0]]
+        with pytest.raises(ValueError, match="^entry 2 is not a"):
+            matrix_from_json({"rows": 2, "cols": 2, "data": data})

@@ -1,9 +1,12 @@
 import json
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
-from pentagram.linalg import PAULI_X, embed_on_register, frobenius_norm
+from pentagram import rigidity
+from pentagram.linalg import BELL_KINDS, PAULI_X, bell_matrix, embed_on_register, frobenius_norm
 from pentagram.optimize import (
     PerturbationSpec,
     perturb_ideal,
@@ -24,7 +27,7 @@ from pentagram.rigidity import (
     report_to_json,
     word_residual,
 )
-from pentagram.strategies import ideal_strategy, score
+from pentagram.strategies import ideal_strategy, score, select_distinguished
 
 
 @pytest.fixture()
@@ -36,8 +39,6 @@ class TestIsometry:
     def test_shape(self, ideal):
         iso = alice_isometry(ideal)
         assert iso.matrix.shape == (64, 8)
-        assert len(iso.components) == 3
-        assert all(c.shape == (16, 8) for c in iso.components)
 
     def test_exact_isometry_for_ideal(self, ideal):
         for iso in (alice_isometry(ideal), bob_isometry(ideal)):
@@ -53,8 +54,6 @@ class TestIsometry:
             iso = build_isometry(x_ops, z_ops)
             gram = iso.matrix.conj().T @ iso.matrix
             assert frobenius_norm(gram - np.eye(d)) <= 1e-12
-            for comp in iso.components:
-                assert frobenius_norm(comp.conj().T @ comp - np.eye(d)) <= 1e-12
 
     def test_non_reflection_rejected(self):
         good = [np.eye(4, dtype=complex)] * 3
@@ -237,3 +236,148 @@ class TestConsistencyFamilies:
         eps = 1.0 - score(r)
         # one switch costs at most two consistency terms
         assert max(change.values()) <= 2 * np.sqrt(80 * eps) + 1e-9
+
+
+# Dense reference: the isometry circuit and the ancilla Paulis as explicit
+# 8d x 8d Kronecker products, the construction the contraction replaced.
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_PAULIS = {"X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+
+
+def _dense_factor(op, k, d):
+    factors = [np.eye(d), np.eye(2), np.eye(2), np.eye(2)]
+    factors[k] = op
+    return reduce(np.kron, factors)
+
+
+def _dense_controlled(u, k, d):
+    idle = [np.eye(d), np.eye(2), np.eye(2), np.eye(2)]
+    active = [u, np.eye(2), np.eye(2), np.eye(2)]
+    idle[k], active[k] = np.diag([1, 0]), np.diag([0, 1])
+    return reduce(np.kron, idle) + reduce(np.kron, active)
+
+
+def dense_isometry(x_ops, z_ops):
+    d = x_ops[0].shape[0]
+    total = np.eye(8 * d, dtype=complex)
+    for k in (1, 2, 3):
+        total = (
+            total
+            @ _dense_controlled(x_ops[k - 1], k, d)
+            @ _dense_factor(_H, k, d)
+            @ _dense_controlled(z_ops[k - 1], k, d)
+        )
+    plus3 = np.ones((8, 1)) / np.sqrt(8)
+    return total @ np.kron(np.eye(d), plus3)
+
+
+class DenseReference:
+    """Residuals and state extraction computed from dense isometries."""
+
+    def __init__(self, r):
+        self.r = r
+        self.dist = select_distinguished(r)
+        self.va = dense_isometry(
+            [self.dist.x_prime[i] for i in (1, 2, 3)], [self.dist.z_prime[i] for i in (1, 2, 3)]
+        )
+        self.vb = dense_isometry(
+            [self.dist.x_prime[i] for i in (4, 5, 6)], [self.dist.z_prime[i] for i in (4, 5, 6)]
+        )
+
+    def word_residual(self, word):
+        r, prime = self.r, {"X": self.dist.x_prime, "Z": self.dist.z_prime}
+        parsed = [(label[0], int(label[1:])) for label in word]
+        rhs = r.L
+        if parsed[0][1] <= 3:
+            lhs = self.va @ r.L
+            for which, idx in reversed(parsed):
+                lhs = _dense_factor(_PAULIS[which], idx, r.dim_a) @ lhs
+                rhs = prime[which][idx] @ rhs
+            return np.linalg.norm(lhs - self.va @ rhs)
+        vb_dag = self.vb.conj().T
+        lhs = r.L @ vb_dag
+        for which, idx in reversed(parsed):
+            lhs = lhs @ _dense_factor(_PAULIS[which], idx - 3, r.dim_b)
+            rhs = rhs @ prime[which][idx]
+        return np.linalg.norm(lhs - rhs @ vb_dag)
+
+    def operator_residuals(self):
+        return {f"{w}{i}": self.word_residual([f"{w}{i}"]) for w in "XZ" for i in range(1, 7)}
+
+    def state(self):
+        P = self.va @ self.r.L @ self.vb.conj().T
+        blocks = P.reshape(self.r.dim_a, 8, self.r.dim_b, 8)
+        bell = {k: bell_matrix(k) for k in BELL_KINDS}
+        comps = {
+            kinds: np.einsum("asbt,st->ab", blocks, reduce(np.kron, [bell[k] for k in kinds]).conj())
+            for kinds in product(BELL_KINDS, repeat=3)
+        }
+        return P, comps
+
+
+def _enlarged_strategy(seed, k):
+    """random_strategy(seed) tensored with a k-dimensional junk space on each side."""
+    r = random_strategy(seed)
+    ik = np.eye(k)
+    for j in r.game.context_names:
+        for v in r.game.contexts[j]:
+            r.alice[j][v] = np.kron(r.alice[j][v], ik)
+    for v in r.game.vertices:
+        r.bob[v] = np.kron(r.bob[v], ik)
+    rng = np.random.default_rng(seed)
+    L = rng.standard_normal((8 * k, 8 * k)) + 1j * rng.standard_normal((8 * k, 8 * k))
+    r.L = L / np.linalg.norm(L)
+    return r
+
+
+class TestAgainstDenseReference:
+    """The contraction matches the dense Kronecker construction to 1e-12."""
+
+    TOL = 1e-12
+
+    def test_isometry_random_reflections(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 4, 8, 16, 32):
+            x_ops = [random_reflection(rng, d) for _ in range(3)]
+            z_ops = [random_reflection(rng, d) for _ in range(3)]
+            iso = build_isometry(x_ops, z_ops)
+            assert np.max(np.abs(iso.matrix - dense_isometry(x_ops, z_ops))) <= self.TOL
+
+    @pytest.mark.parametrize("seed,k", [(0, 1), (1, 1), (2, 2), (3, 4)])
+    def test_residuals_and_state(self, seed, k):
+        r = _enlarged_strategy(seed, k) if k > 1 else random_strategy(seed)
+        ref = DenseReference(r)
+        assert np.max(np.abs(alice_isometry(r).matrix - ref.va)) <= self.TOL
+        assert np.max(np.abs(bob_isometry(r).matrix - ref.vb)) <= self.TOL
+
+        res, want = operator_residuals(r), ref.operator_residuals()
+        assert set(res) == set(want)
+        assert all(abs(res[key] - want[key]) <= self.TOL for key in want)
+        for word in (["X1", "Z2", "X3"], ["Z1", "Z1", "X2"], ["X4", "Z6"], ["Z5", "X6", "Z4", "X5"]):
+            assert abs(word_residual(r, word) - ref.word_residual(word)) <= self.TOL
+
+        ext = extract_state(r)
+        P, comps = ref.state()
+        assert np.max(np.abs(ext.P - P)) <= self.TOL
+        assert np.max(np.abs(ext.junk - comps[PHI_TRIPLE])) <= self.TOL
+        for kinds, block in comps.items():
+            assert abs(ext.bell_weights[kinds] - np.linalg.norm(block) ** 2) <= self.TOL
+        off = sum(np.linalg.norm(b) ** 2 for kinds, b in comps.items() if kinds != PHI_TRIPLE)
+        assert abs(ext.state_residual - np.sqrt(off)) <= self.TOL
+
+
+def test_certify_builds_each_isometry_once(monkeypatch):
+    sides = []
+    original = rigidity.build_isometry
+
+    def counting(*args, **kwargs):
+        sides.append(kwargs["side"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rigidity, "build_isometry", counting)
+    r = perturb_ideal(PerturbationSpec(1e-2, 3))
+    certify(r)
+    assert sorted(sides) == ["alice", "bob"]
+    sides.clear()
+    word_residual(r, ["Z4", "X5"])
+    assert sides == ["bob"]
