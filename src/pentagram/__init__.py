@@ -11,13 +11,9 @@ from .game import (
 from .linalg import (
     BELL_KINDS,
     bell_matrix,
-    controlled,
-    embed_factor,
-    embed_on_register,
     exp_i_hermitian,
     frobenius_norm,
     hermitian_eigendecomposition,
-    kron,
     matrix_from_json,
     matrix_to_json,
 )

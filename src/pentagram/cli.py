@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .game import PentagramGame, classical_value
-from .linalg import dump_json
+from .linalg import STRUCTURE_TOL, dump_json
 from .optimize import PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
 from .rigidity import StrategyValidationError, certify, report_to_json
 from .strategies import (
@@ -26,10 +26,6 @@ from .strategies import (
     to_projective,
     validate,
 )
-
-
-# Frobenius tolerance at which the CLI validates strategy files.
-CLI_TOL = 1e-10
 
 
 class UsageError(Exception):
@@ -69,7 +65,7 @@ def _cmd_value(args) -> int:
 
 def _cmd_score(args) -> int:
     r = load_reflection(_read_json(args.infile))
-    report = validate(r, CLI_TOL)
+    report = validate(r, STRUCTURE_TOL)
     if not report.passed:
         raise StrategyValidationError(report)
     print(f"{score(r):.12f}")
@@ -134,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the reflection-strategy axioms")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=CLI_TOL)
+    p.add_argument("--tol", type=float, default=STRUCTURE_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("certify", help="write the full rigidity certificate")

@@ -14,10 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-# Frobenius-norm tolerance for structural checks (hermiticity, unitarity).
-# Far below the physical perturbation scales explored in the sweeps (>= 1e-4)
-# and far above double-precision noise.
+# The one validation tolerance: the Frobenius-norm deviation every strategy,
+# reflection and Hermitian input may show from its axioms.  Far below the
+# physical perturbation scales explored in the sweeps (>= 1e-4) and far
+# above double-precision noise.
 STRUCTURE_TOL = 1e-10
+
+# Slack added to the per-question bound sqrt(80 epsilon) so rounding in a
+# perfect strategy's residuals cannot fail it.
+BOUND_SLACK = 1e-9
 
 SQRT2 = np.sqrt(2.0)
 
@@ -47,38 +52,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence, left factor slowest."""
     return reduce(np.kron, [as_matrix(f) for f in factors])
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} + {b.shape}")
-    return a + b
-
-
-def scale(a, c: complex) -> np.ndarray:
-    return as_matrix(a) * c
 
 
 def frobenius_norm(a) -> float:
@@ -86,68 +62,18 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def frobenius_inner(a, b) -> complex:
-    """Frobenius inner product tr(a^dagger b)."""
-    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-
-
-def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
-    a = as_matrix(a)
-    return a.shape[0] == a.shape[1] and frobenius_norm(a - a.conj().T) <= tol
-
-
-def controlled(u) -> np.ndarray:
-    """Controlled operation with the control qubit as the leading factor.
-
-    Returns ``|0><0| (x) I + |1><1| (x) u``, block-diagonal (I, u).
-    """
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"controlled() needs a square matrix, got {u.shape}")
-    d = u.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = np.eye(d)
-    out[d:, d:] = u
-    return out
-
-
-def embed_on_register(op, position: int, total_registers: int) -> np.ndarray:
-    """Embed a 2x2 operator on qubit `position` of a `total_registers` chain.
-
-    Registers are numbered 1..total_registers from the leftmost tensor factor.
-    """
-    op = as_matrix(op)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got {op.shape}")
-    if not 1 <= position <= total_registers:
-        raise ValueError(f"position {position} out of range 1..{total_registers}")
-    return embed_factor(op, position - 1, [2] * total_registers)
-
-
-def embed_factor(op, slot: int, dims: Sequence[int]) -> np.ndarray:
-    """Embed `op` at `slot` (0-based) of a tensor chain with factor sizes `dims`."""
-    op = as_matrix(op)
-    if not 0 <= slot < len(dims):
-        raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(f"operator shape {op.shape} does not fit factor of size {dims[slot]}")
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[slot] = op
-    return kron_all(factors)
-
-
-def hermitian_eigendecomposition(a, tol: float = STRUCTURE_TOL):
+def hermitian_eigendecomposition(a):
     """Eigendecomposition a = V diag(w) V^dagger of a Hermitian matrix.
 
     Eigenvalues are returned in ascending order.  Raises ValueError if the
-    input deviates from Hermitian by more than `tol` in Frobenius norm.
+    input deviates from Hermitian by more than STRUCTURE_TOL in Frobenius norm.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     dev = frobenius_norm(a - a.conj().T)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.3e})")
+    if dev > STRUCTURE_TOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {STRUCTURE_TOL:.3e})")
     w, v = np.linalg.eigh(a)
     return w, v
 
@@ -181,8 +107,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix_to_json format."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from None
+    if not isinstance(data, list):
+        raise ValueError(f"data must be a list, got {type(data).__name__}")
     if rows <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:

@@ -28,8 +28,10 @@ import numpy as np
 
 from .linalg import (
     BELL_KINDS,
+    BOUND_SLACK,
     HADAMARD,
     PLUS,
+    STRUCTURE_TOL,
     as_matrix,
     bell_matrix,
     frobenius_norm,
@@ -102,13 +104,13 @@ class RigidityReport:
         return max(self.consistency_residuals.values())
 
 
-def _check_reflection(m: np.ndarray, tol: float) -> None:
+def _check_reflection(m: np.ndarray) -> None:
     m = as_matrix(m)
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"reflections must be square, got {m.shape}")
     dev = max(frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n)))
-    if dev > tol:
+    if dev > STRUCTURE_TOL:
         raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
 
 
@@ -118,12 +120,7 @@ def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
     t[one] = np.tensordot(u, t[one], axes=1)
 
 
-def build_isometry(
-    x_ops: list[np.ndarray],
-    z_ops: list[np.ndarray],
-    side: str = "alice",
-    tol: float = 1e-8,
-) -> LocalIsometry:
+def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray], side: str = "alice") -> LocalIsometry:
     """Compose the three single-ancilla maps into one (8d x d) isometry.
 
     Ancilla k is processed last-to-first, so the constructed matrix is
@@ -136,7 +133,7 @@ def build_isometry(
         raise ValueError("expected exactly 3 X-type and 3 Z-type reflections")
     x_ops, z_ops = [as_matrix(m) for m in x_ops], [as_matrix(m) for m in z_ops]
     for m in (*x_ops, *z_ops):
-        _check_reflection(m, tol)
+        _check_reflection(m)
     d = x_ops[0].shape[0]
     if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
         raise ValueError("all reflections must share one dimension")
@@ -153,19 +150,17 @@ def build_isometry(
 _REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
 
 
-def _isometry(dist: DistinguishedReflections, side: str, tol: float = 1e-8) -> LocalIsometry:
+def _isometry(dist: DistinguishedReflections, side: str) -> LocalIsometry:
     regs = _REGISTERS[side]
-    return build_isometry(
-        [dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs], side=side, tol=tol
-    )
+    return build_isometry([dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs], side=side)
 
 
-def alice_isometry(r: ReflectionStrategy, tol: float = 1e-8) -> LocalIsometry:
-    return _isometry(select_distinguished(r), "alice", tol)
+def alice_isometry(r: ReflectionStrategy) -> LocalIsometry:
+    return _isometry(select_distinguished(r), "alice")
 
 
-def bob_isometry(r: ReflectionStrategy, tol: float = 1e-8) -> LocalIsometry:
-    return _isometry(select_distinguished(r), "bob", tol)
+def bob_isometry(r: ReflectionStrategy) -> LocalIsometry:
+    return _isometry(select_distinguished(r), "bob")
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -376,19 +371,18 @@ def _sampled_change_words(
 
 def certify(
     r: ReflectionStrategy,
-    validate_tol: float = 1e-8,
     change_word_lengths=(2, 3, 4, 5, 6),
     change_word_samples: int = 20,
     sample_seed: int = 0,
 ) -> RigidityReport:
     """Assemble the full rigidity certificate for one strategy.
 
-    Validates the strategy first (raising StrategyValidationError on
-    failure), then gathers every residual family along with the state
-    extraction, and checks the hard per-question bound
-    consistency <= sqrt(80 epsilon) + 1e-9.
+    Validates the strategy at STRUCTURE_TOL first (raising
+    StrategyValidationError on failure), then gathers every residual family
+    along with the state extraction, and checks the hard per-question bound
+    consistency <= sqrt(80 epsilon) + BOUND_SLACK.
     """
-    report = validate(r, validate_tol)
+    report = validate(r, STRUCTURE_TOL)
     if not report.passed:
         raise StrategyValidationError(report)
 
@@ -401,7 +395,7 @@ def certify(
     change = context_change_residuals(r)
     comm, anti = _pair_residuals(r)
     words = _sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed)
-    bound = np.sqrt(80.0 * max(epsilon, 0.0)) + 1e-9
+    bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
     bound_ok = all(res <= bound for res in consistency.values())
 
     return RigidityReport(

@@ -37,6 +37,7 @@ from .linalg import (
     ID2,
     PAULI_X,
     PAULI_Z,
+    STRUCTURE_TOL,
     as_matrix,
     frobenius_norm,
     kron_all,
@@ -215,16 +216,17 @@ def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
     return ValidationReport(herm, invol, comm, prod, state, tol, passed)
 
 
-def to_projective(r: ReflectionStrategy, tol: float = 1e-8) -> ProjectiveStrategy:
+def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     """Convert a reflection strategy to its projective form.
 
     Alice's projector for outcome t is the product over the context's
     vertices of (I + (-1)**t(v) R[j][v])/2; the product is well defined
     because the factors commute, and it vanishes unless the parity of t
     matches the context label.  Bob's projectors split S[v] into its +-1
-    eigenspaces, and psi flattens L.
+    eigenspaces, and psi flattens L.  Raises ValueError unless r validates
+    at STRUCTURE_TOL.
     """
-    report = validate(r, tol)
+    report = validate(r, STRUCTURE_TOL)
     if not report.passed:
         raise ValueError(f"invalid reflection strategy: {report.deviations()}")
     da, db = r.dim_a, r.dim_b
@@ -250,7 +252,7 @@ def to_projective(r: ReflectionStrategy, tol: float = 1e-8) -> ProjectiveStrateg
     return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob, game=r.game)
 
 
-def _check_projective(p: ProjectiveStrategy, tol: float) -> None:
+def _check_projective(p: ProjectiveStrategy) -> None:
     dev = 0.0
     for j in p.game.context_names:
         total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
@@ -265,18 +267,19 @@ def _check_projective(p: ProjectiveStrategy, tol: float) -> None:
             dev = max(dev, frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N))
         dev = max(dev, frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
     dev = max(dev, abs(float(np.linalg.norm(p.psi)) - 1.0))
-    if dev > tol:
+    if dev > STRUCTURE_TOL:
         raise ValueError(f"invalid projective strategy (max deviation {dev:.3e})")
 
 
-def to_reflection(p: ProjectiveStrategy, tol: float = 1e-8) -> ReflectionStrategy:
+def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
     """Convert a projective strategy to its reflection form.
 
     R[j][v] sums the projectors of outcomes assigning +1 to v minus those
     assigning -1; S[v] = N0 - N1; L is psi reshaped into a dim_a x dim_b
-    coefficient matrix (row index on Alice's space).
+    coefficient matrix (row index on Alice's space).  Raises ValueError
+    unless the measurements and psi are valid to STRUCTURE_TOL.
     """
-    _check_projective(p, tol)
+    _check_projective(p)
     alice: dict[str, dict[int, np.ndarray]] = {}
     for j in p.game.context_names:
         vs = p.game.contexts[j]
@@ -369,41 +372,73 @@ def projective_to_json(p: ProjectiveStrategy) -> dict:
     }
 
 
-def _decode(obj, name: str) -> np.ndarray:
-    """matrix_from_json, with the field name in its error message."""
+def _decode(obj, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """matrix_from_json, checked against `shape`, with `name` in its errors."""
     try:
-        return matrix_from_json(obj)
+        m = matrix_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"matrix {name}: {exc}") from None
+    if m.shape != shape:
+        raise ValueError(f"matrix {name}: shape {m.shape} does not match dim_a, dim_b (expected {shape})")
+    return m
+
+
+def _section(sec, name: str, keys) -> dict:
+    """`sec`, checked to be an object whose key set is exactly `keys`."""
+    if not isinstance(sec, dict):
+        raise ValueError(f"{name} must be an object, got {type(sec).__name__}")
+    keys = {str(k) for k in keys}
+    if set(sec) != keys:
+        missing, extra = sorted(keys - set(sec)), sorted(set(sec) - keys)
+        raise ValueError(f"{name}: missing keys {missing}, unexpected keys {extra}")
+    return sec
+
+
+def _dims(obj) -> tuple[int, int]:
+    for name in ("dim_a", "dim_b"):
+        d = obj.get(name)
+        if type(d) is not int or d <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {d!r}")
+    return obj["dim_a"], obj["dim_b"]
 
 
 def strategy_from_json(obj: dict, game: PentagramGame | None = None):
-    """Decode either strategy format, detected by its keys."""
+    """Decode either strategy format, detected by its keys.
+
+    Key sets must match the game's contexts, vertices and outcomes exactly,
+    and every matrix shape must match dim_a/dim_b; a violation raises a
+    ValueError naming the field.
+    """
     game = game or PentagramGame()
+    if not isinstance(obj, dict):
+        raise ValueError(f"a strategy must be an object, got {type(obj).__name__}")
     if "L" in obj and "R" in obj:
-        alice = {
-            j: {int(v): _decode(m, f"R.{j}.{v}") for v, m in ctx.items()}
-            for j, ctx in obj["R"].items()
-        }
-        bob = {int(v): _decode(m, f"S.{v}") for v, m in obj["S"].items()}
-        return ReflectionStrategy(L=_decode(obj["L"], "L"), alice=alice, bob=bob, game=game)
+        da, db = _dims(obj)
+        L = _decode(obj["L"], "L", (da, db))
+        R = _section(obj["R"], "R", game.context_names)
+        S = _section(obj.get("S"), "S", game.vertices)
+        alice = {}
+        for j in game.context_names:
+            ctx = _section(R[j], f"R.{j}", game.contexts[j])
+            alice[j] = {v: _decode(ctx[str(v)], f"R.{j}.{v}", (da, da)) for v in game.contexts[j]}
+        bob = {v: _decode(S[str(v)], f"S.{v}", (db, db)) for v in game.vertices}
+        return ReflectionStrategy(L=L, alice=alice, bob=bob, game=game)
     if "psi" in obj and "M" in obj:
-        dim_a, dim_b = int(obj["dim_a"]), int(obj["dim_b"])
-        alice = {
-            j: {
-                tuple(int(c) for c in key): _decode(m, f"M.{j}.{key}")
-                for key, m in ctx.items()
+        da, db = _dims(obj)
+        psi = _decode(obj["psi"], "psi", (da * db, 1)).ravel()
+        M = _section(obj["M"], "M", game.context_names)
+        N = _section(obj.get("N"), "N", game.vertices)
+        alice, bob = {}, {}
+        for j in game.context_names:
+            outcomes = ["".join(map(str, t)) for t in parity_assignments(game, j)]
+            ctx = _section(M[j], f"M.{j}", outcomes)
+            alice[j] = {
+                tuple(map(int, key)): _decode(ctx[key], f"M.{j}.{key}", (da, da)) for key in outcomes
             }
-            for j, ctx in obj["M"].items()
-        }
-        bob = {
-            int(v): (_decode(pair["0"], f"N.{v}.0"), _decode(pair["1"], f"N.{v}.1"))
-            for v, pair in obj["N"].items()
-        }
-        psi = _decode(obj["psi"], "psi").ravel()
-        return ProjectiveStrategy(
-            psi=psi, dim_a=dim_a, dim_b=dim_b, alice=alice, bob=bob, game=game
-        )
+        for v in game.vertices:
+            pair = _section(N[str(v)], f"N.{v}", "01")
+            bob[v] = tuple(_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01")
+        return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob, game=game)
     raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")
 
 

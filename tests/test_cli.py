@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from pentagram.cli import main
+from pentagram.linalg import matrix_to_json
+from pentagram.strategies import ideal_strategy, projective_to_json, reflection_to_json, to_projective
 
 
 def run(capsys, *argv):
@@ -198,3 +201,68 @@ class TestExitCodes:
             code, _, err = run(capsys, *argv, "--in", str(bad))
             assert code == 1
             assert err == "error: matrix L: entry 5 is not a [re, im] pair of numbers\n"
+
+    def test_certify_refuses_what_score_refuses(self, capsys, tmp_path):
+        obj = reflection_to_json(ideal_strategy())
+        factor = 1 + 5e-9
+        obj["L"]["data"] = [[factor * re, factor * im] for re, im in obj["L"]["data"]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+
+        for argv in (["score"], ["certify", "--out", str(tmp_path / "report.json")]):
+            code, out, err = run(capsys, *argv, "--in", str(broken))
+            assert code == 2
+            assert out == ""
+            assert "state_norm" in err
+
+
+def _drop(section, key):
+    def mutate(obj):
+        del obj[section][key]
+    return mutate
+
+
+class TestStrictLoader:
+    """Malformed strategy files exit 1 with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda o: o.update(S=[]), "S must be an object, got list"),
+            (_drop("S", "3"), "S: missing keys ['3'], unexpected keys []"),
+            (lambda o: o["S"].update({"99": o["S"]["1"]}), "S: missing keys [], unexpected keys ['99']"),
+            (
+                lambda o: o["S"].update({"1": matrix_to_json(np.eye(2))}),
+                "matrix S.1: shape (2, 2) does not match dim_a, dim_b (expected (8, 8))",
+            ),
+            (lambda o: o.update(dim_a=4), "matrix L: shape (8, 8) does not match dim_a, dim_b (expected (4, 8))"),
+            (lambda o: o.update(dim_b="8"), "dim_b must be a positive integer, got '8'"),
+            (_drop("R", "G"), "R: missing keys ['G'], unexpected keys []"),
+        ],
+        ids=["S-not-object", "missing-vertex", "extra-vertex", "small-S", "false-dim_a", "string-dim_b", "missing-context"],
+    )
+    def test_reflection_defects(self, capsys, tmp_path, mutate, message):
+        obj = reflection_to_json(ideal_strategy())
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["certify", "--out", str(tmp_path / "report.json")], ["score"]):
+            code, out, err = run(capsys, *argv, "--in", str(bad))
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda o: o["N"]["4"].pop("1"), "N.4: missing keys ['1'], unexpected keys []"),
+            (lambda o: o["M"]["G"].update({"0000": o["M"]["G"]["0001"]}), "M.G: missing keys [], unexpected keys ['0000']"),
+            (lambda o: o.update(dim_b=4), "matrix psi: shape (64, 1) does not match dim_a, dim_b (expected (32, 1))"),
+        ],
+        ids=["missing-outcome", "wrong-parity-outcome", "false-dim_b"],
+    )
+    def test_projective_defects(self, capsys, tmp_path, mutate, message):
+        obj = projective_to_json(to_projective(ideal_strategy()))
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "score", "--in", str(bad))
+        assert (code, out, err) == (1, "", f"error: {message}\n")

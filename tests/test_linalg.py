@@ -4,23 +4,14 @@ import pytest
 from pentagram.linalg import (
     BELL_KINDS,
     HADAMARD,
-    ID2,
     PAULI_X,
     PAULI_Z,
-    add,
-    adjoint,
     bell_matrix,
-    controlled,
-    embed_factor,
-    embed_on_register,
     exp_i_hermitian,
     frobenius_norm,
     hermitian_eigendecomposition,
-    kron,
     matrix_from_json,
     matrix_to_json,
-    mul,
-    scale,
 )
 
 
@@ -33,68 +24,9 @@ def _rand_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _rand_reflection(rng, n):
-    v = _rand_unitary(rng, n)
-    signs = rng.choice([-1.0, 1.0], size=n)
-    return (v * signs) @ v.conj().T
-
-
 def _rand_hermitian(rng, n):
     g = _rand_complex(rng, (n, n))
     return (g + g.conj().T) / 2
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(ID2, ID2), np.eye(4))
-
-    def test_x_times_z_entries(self):
-        m = kron(PAULI_X, PAULI_Z)
-        assert m[0, 2] == 1
-        assert m[1, 3] == -1
-        np.testing.assert_array_equal(m[:2, :2], np.zeros((2, 2)))
-        np.testing.assert_array_equal(m[2:, 2:], np.zeros((2, 2)))
-
-    def test_norm_multiplies(self):
-        phi = bell_matrix("phi+")
-        assert frobenius_norm(kron(phi, phi)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = _rand_complex(rng, (2, 2)), _rand_complex(rng, (3, 3))
-            c, d = _rand_complex(rng, (2, 2)), _rand_complex(rng, (3, 3))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert frobenius_norm(lhs - rhs) < 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (_rand_complex(rng, (2, 2)), _rand_complex(rng, (3, 3)), _rand_complex(rng, (2, 2)))
-        assert frobenius_norm(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
-
-
-class TestArithmetic:
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(1)
-        a = _rand_complex(rng, (4, 5))
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    def test_pauli_reflection(self):
-        np.testing.assert_allclose(mul(PAULI_X, PAULI_X), ID2, atol=1e-15)
-
-    def test_pauli_anticommutation(self):
-        np.testing.assert_allclose(mul(PAULI_Z, PAULI_X), -mul(PAULI_X, PAULI_Z), atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mul(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError):
-            add(np.eye(2), np.eye(3))
-
-    def test_add_scale(self):
-        np.testing.assert_array_equal(add(PAULI_X, PAULI_X), 2 * PAULI_X)
-        np.testing.assert_array_equal(scale(PAULI_Z, 1j), 1j * PAULI_Z)
 
 
 class TestFrobenius:
@@ -113,75 +45,6 @@ class TestFrobenius:
             a = _rand_complex(rng, (6, 6))
             u, v = _rand_unitary(rng, 6), _rand_unitary(rng, 6)
             assert abs(frobenius_norm(u @ a @ v) - frobenius_norm(a)) < 1e-12
-
-
-class TestControlled:
-    def test_identity_case(self):
-        np.testing.assert_allclose(controlled(np.eye(3)), np.eye(6), atol=1e-15)
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(3)
-        u = _rand_unitary(rng, 4)
-        c = controlled(u)
-        np.testing.assert_array_equal(c[:4, :4], np.eye(4))
-        np.testing.assert_array_equal(c[4:, 4:], u)
-        np.testing.assert_array_equal(c[:4, 4:], np.zeros((4, 4)))
-
-    def test_unitary_for_unitary_input(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            c = controlled(_rand_unitary(rng, 4))
-            assert frobenius_norm(c.conj().T @ c - np.eye(8)) < 1e-12
-
-    def test_x_conjugation_identity(self):
-        # X on the control satisfies X C(U) X = C(U) (I (x) U) for reflections U
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            u = _rand_reflection(rng, 4)
-            c = controlled(u)
-            xc = kron(PAULI_X, np.eye(4))
-            lhs = xc @ c @ xc
-            rhs = c @ kron(ID2, u)
-            assert frobenius_norm(lhs - rhs) < 1e-12
-            assert frobenius_norm(lhs - kron(ID2, u) @ c) < 1e-12
-
-    def test_z_multiplication_identity(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            u = _rand_unitary(rng, 4)
-            c = controlled(u)
-            zc = kron(PAULI_Z, np.eye(4))
-            assert frobenius_norm(zc @ c - controlled(-u)) < 1e-12
-            assert frobenius_norm(c @ zc - controlled(-u)) < 1e-12
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            controlled(np.ones((2, 3)))
-
-
-class TestEmbed:
-    def test_first_slot(self):
-        np.testing.assert_array_equal(embed_on_register(PAULI_X, 1, 3), kron(PAULI_X, np.eye(4)))
-
-    def test_last_slot(self):
-        np.testing.assert_array_equal(embed_on_register(PAULI_Z, 3, 3), kron(np.eye(4), PAULI_Z))
-
-    def test_hadamard_action(self):
-        state = np.zeros(4)
-        state[0] = 1.0
-        out = embed_on_register(HADAMARD, 2, 2) @ state
-        expected = np.array([1, 1, 0, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(out, expected, atol=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            embed_on_register(PAULI_X, 0, 3)
-        with pytest.raises(ValueError):
-            embed_on_register(PAULI_X, 4, 3)
-
-    def test_general_dims(self):
-        m = embed_factor(np.eye(3) * 2, 1, [2, 3, 2])
-        np.testing.assert_array_equal(m, 2 * np.eye(12))
 
 
 class TestEigendecomposition:
@@ -284,6 +147,19 @@ class TestJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "data": []})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": float("inf"), "cols": 1, "data": [[1.0, 0.0]]},
+            {"rows": "two", "cols": 1, "data": [[1.0, 0.0]]},
+            {"rows": 1, "cols": 1, "data": 5},
+            {"rows": 1, "cols": 2, "data": None},
+        ],
+    )
+    def test_malformed_header(self, obj):
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
 
     @pytest.mark.parametrize("entry", [["0.35", 0.0], [0.0, None], [1.0], 7])
     def test_bad_entry_named(self, entry):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pentagram import optimize, rigidity
 from pentagram.optimize import (
     MODES,
     CalibrationError,
@@ -162,9 +163,22 @@ class TestScalingStudy:
         )
 
     def test_schedule_independent(self):
-        rows1, _ = scaling_study([1e-3, 1e-2], 2, seed=4, workers=1)
-        rows2, _ = scaling_study([1e-3, 1e-2], 2, seed=4, workers=3)
-        assert rows_to_csv(rows1) == rows_to_csv(rows2)
+        # each row depends only on its own (delta index, sample index)
+        rows, _ = scaling_study([1e-3, 1e-2], 2, seed=4)
+        prefix, _ = scaling_study([1e-3], 2, seed=4)
+        assert rows[:2] == prefix
+
+    def test_validates_each_row_once(self, monkeypatch):
+        calls = []
+
+        def counting(r, tol):
+            calls.append(tol)
+            return validate(r, tol)
+
+        monkeypatch.setattr(optimize, "validate", counting)
+        monkeypatch.setattr(rigidity, "validate", counting)
+        rows, _ = scaling_study([1e-3, 1e-2], 2, seed=4)
+        assert len(calls) == len(rows) == 4
 
     def test_bad_deltas_rejected(self):
         with pytest.raises(ValueError):

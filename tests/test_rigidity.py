@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pentagram import rigidity
-from pentagram.linalg import BELL_KINDS, PAULI_X, bell_matrix, embed_on_register, frobenius_norm
+from pentagram.linalg import BELL_KINDS, PAULI_X, bell_matrix, frobenius_norm
 from pentagram.optimize import (
     PerturbationSpec,
     perturb_ideal,
@@ -133,7 +133,7 @@ class TestExtraction:
     def test_x_conjugated_strategy_moves_bell_component(self, ideal):
         # conjugating Alice by X on register 1 flips her Z'-type operator
         # there, so the extracted pair on that register becomes psi+
-        x1 = embed_on_register(PAULI_X, 1, 3)
+        x1 = np.kron(PAULI_X, np.eye(4))
         for j in ideal.game.context_names:
             for v in ideal.game.contexts[j]:
                 ideal.alice[j][v] = x1 @ ideal.alice[j][v] @ x1
