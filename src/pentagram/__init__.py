@@ -45,6 +45,7 @@ from .rigidity import (
 )
 from .strategies import (
     DistinguishedReflections,
+    InvalidStrategyError,
     ProjectiveStrategy,
     ReflectionStrategy,
     ValidationReport,

@@ -17,6 +17,7 @@ from .linalg import STRUCTURE_TOL, dump_json
 from .optimize import PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
 from .rigidity import StrategyValidationError, certify, report_to_json
 from .strategies import (
+    InvalidStrategyError,
     ideal_strategy,
     load_reflection,
     losing_terms,
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except StrategyValidationError as exc:
+    except InvalidStrategyError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 CONTEXT_ORDER = ("C", "D", "E", "F", "G")
 
 # Vertex incidence of the pentagram.  Relabelings give isomorphic games; pass
@@ -149,18 +151,6 @@ def evaluate_classical(game: PentagramGame, strategy: ClassicalStrategy) -> Frac
     return Fraction(agree, 20)
 
 
-def _best_context_table(game: PentagramGame, j: str, bob: dict[int, int]):
-    """Best parity-valid Alice table for one context against a Bob table."""
-    vs = game.contexts[j]
-    best_t, best_agree = None, -1
-    for t in parity_assignments(game, j):
-        agree = sum(1 for bit, v in zip(t, vs) if (1 - 2 * bit) == bob[v])
-        if agree > best_agree:
-            best_t, best_agree = t, agree
-    table = {v: 1 - 2 * bit for bit, v in zip(best_t, vs)}
-    return table, best_agree
-
-
 def best_classical_strategy(game: PentagramGame) -> tuple[ClassicalStrategy, Fraction]:
     """Optimal deterministic strategy by full enumeration.
 
@@ -168,20 +158,33 @@ def best_classical_strategy(game: PentagramGame) -> tuple[ClassicalStrategy, Fra
     the best of the 8 parity-valid tables is selected independently.  Mixed
     strategies cannot beat this (the value is linear over the strategy
     polytope, so the maximum sits at a deterministic vertex).
+
+    The enumeration is one integer array product: row b of `bob` is the b-th
+    table of product((1, -1), repeat=10), and a table t of context j agrees
+    with it on (4 + bob[b, cols(j)] . t) / 2 vertices.  argmax keeps the first
+    maximiser, both over Alice's tables and over Bob's, so the witness is the
+    first optimum in enumeration order.
     """
     verts = game.vertices
-    best_strategy, best_agree = None, -1
-    for signs in product((1, -1), repeat=len(verts)):
-        bob = dict(zip(verts, signs))
-        alice: dict[str, dict[int, int]] = {}
-        agree = 0
-        for j in game.context_names:
-            table, a = _best_context_table(game, j, bob)
-            alice[j] = table
-            agree += a
-        if agree > best_agree:
-            best_strategy, best_agree = ClassicalStrategy(alice, bob), agree
-    return best_strategy, Fraction(best_agree, 20)
+    n = len(verts)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bob = 1 - 2 * bits
+    agree = np.zeros(2**n, dtype=np.int64)
+    choices = {}
+    for j in game.context_names:
+        tabs = 1 - 2 * np.array(parity_assignments(game, j))
+        cols = [verts.index(v) for v in game.contexts[j]]
+        table_agree = (4 + bob[:, cols] @ tabs.T) // 2
+        best = table_agree.argmax(axis=1)
+        agree += table_agree[np.arange(2**n), best]
+        choices[j] = (tabs, best)
+    b = int(agree.argmax())
+    alice = {
+        j: dict(zip(game.contexts[j], tabs[best[b]].tolist()))
+        for j, (tabs, best) in choices.items()
+    }
+    strategy = ClassicalStrategy(alice, dict(zip(verts, bob[b].tolist())))
+    return strategy, Fraction(int(agree[b]), 20)
 
 
 def classical_value(game: PentagramGame) -> Fraction:

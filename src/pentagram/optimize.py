@@ -176,14 +176,16 @@ def calibrate_delta(
     """Bisect the perturbation scale until epsilon is within 10% of target.
 
     The generator draws are tied to `seed`, so the map delta -> epsilon is a
-    fixed smooth function during the search.  Raises CalibrationError when
-    the target is unreachable on [0, 1] or the bracket is not monotone.
+    fixed smooth function during the search.  Bisection steps only score;
+    the accepted spec is validated once, through perturb_ideal, before it is
+    returned.  Raises CalibrationError when the target is unreachable on
+    [0, 1] or the bracket is not monotone.
     """
     if not 0.0 < target_epsilon <= 0.1:
         raise ValueError(f"target epsilon must lie in (0, 0.1], got {target_epsilon}")
 
     def epsilon_at(delta: float) -> float:
-        return 1.0 - score(perturb_ideal(PerturbationSpec(delta, seed, mode)))
+        return 1.0 - score(_perturbed(PerturbationSpec(delta, seed, mode)))
 
     lo, e_lo = 0.0, 0.0
     hi = 1.0
@@ -201,7 +203,9 @@ def calibrate_delta(
                 f"epsilon is not monotone on the bracket [{lo}, {hi}] (mode={mode}, seed={seed})"
             )
         if abs(e_mid - target_epsilon) <= 0.1 * target_epsilon:
-            return PerturbationSpec(mid, seed, mode)
+            spec = PerturbationSpec(mid, seed, mode)
+            perturb_ideal(spec)
+            return spec
         if e_mid < target_epsilon:
             lo, e_lo = mid, e_mid
         else:

@@ -39,6 +39,7 @@ from .linalg import (
 )
 from .strategies import (
     DistinguishedReflections,
+    InvalidStrategyError,
     ReflectionStrategy,
     ValidationReport,
     losing_terms,
@@ -49,7 +50,7 @@ from .strategies import (
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
 
 
-class StrategyValidationError(ValueError):
+class StrategyValidationError(InvalidStrategyError):
     """Raised when a certificate is requested for an invalid strategy."""
 
     def __init__(self, report: ValidationReport):

@@ -29,6 +29,7 @@ the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -75,6 +76,15 @@ IDEAL_OBSERVABLES = {
     1: "ZZZ", 2: "ZXX", 3: "XXZ", 4: "XZX", 5: "IXI",
     6: "XII", 7: "IIX", 8: "IIZ", 9: "IZI", 10: "ZII",
 }
+
+
+@cache
+def _ideal_matrices() -> dict[int, np.ndarray]:
+    """IDEAL_OBSERVABLES as read-only 8x8 matrices, built on first use."""
+    obs = {v: _pauli_string(s) for v, s in IDEAL_OBSERVABLES.items()}
+    for m in obs.values():
+        m.setflags(write=False)
+    return obs
 
 
 @dataclass
@@ -139,6 +149,10 @@ class ValidationReport:
         }
 
 
+class InvalidStrategyError(ValueError):
+    """A strategy that breaks its axioms beyond STRUCTURE_TOL."""
+
+
 @dataclass
 class DistinguishedReflections:
     """One reflection per vertex plus the twelve simulated Pauli operators."""
@@ -155,7 +169,7 @@ def ideal_strategy() -> ReflectionStrategy:
     same matrix is used in every context containing the vertex).
     """
     game = PentagramGame()
-    obs = {v: _pauli_string(s) for v, s in IDEAL_OBSERVABLES.items()}
+    obs = _ideal_matrices()
     alice = {j: {v: obs[v].copy() for v in game.contexts[j]} for j in game.context_names}
     bob = {v: obs[v].copy() for v in game.vertices}
     L = np.eye(8, dtype=complex) / np.sqrt(8.0)
@@ -168,12 +182,12 @@ def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     One minus the score equals the mean of this table.
     """
     out: dict[tuple[str, int], float] = {}
+    Ia = np.eye(r.dim_a)
+    Ib = np.eye(r.dim_b)
     for j in r.game.context_names:
         for v in r.game.contexts[j]:
             R = r.alice[j][v]
             S = r.bob[v]
-            Ia = np.eye(r.dim_a)
-            Ib = np.eye(r.dim_b)
             up = ((Ia + R) / 2) @ r.L @ ((Ib - S) / 2)
             dn = ((Ia - R) / 2) @ r.L @ ((Ib + S) / 2)
             out[(j, v)] = float(np.linalg.norm(up) ** 2 + np.linalg.norm(dn) ** 2)
@@ -223,12 +237,12 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     vertices of (I + (-1)**t(v) R[j][v])/2; the product is well defined
     because the factors commute, and it vanishes unless the parity of t
     matches the context label.  Bob's projectors split S[v] into its +-1
-    eigenspaces, and psi flattens L.  Raises ValueError unless r validates
-    at STRUCTURE_TOL.
+    eigenspaces, and psi flattens L.  Raises InvalidStrategyError unless r
+    validates at STRUCTURE_TOL.
     """
     report = validate(r, STRUCTURE_TOL)
     if not report.passed:
-        raise ValueError(f"invalid reflection strategy: {report.deviations()}")
+        raise InvalidStrategyError(f"invalid reflection strategy: {report.deviations()}")
     da, db = r.dim_a, r.dim_b
     alice: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
     for j in r.game.context_names:
@@ -268,7 +282,7 @@ def _check_projective(p: ProjectiveStrategy) -> None:
         dev = max(dev, frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
     dev = max(dev, abs(float(np.linalg.norm(p.psi)) - 1.0))
     if dev > STRUCTURE_TOL:
-        raise ValueError(f"invalid projective strategy (max deviation {dev:.3e})")
+        raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
 
 
 def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
@@ -276,8 +290,9 @@ def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
 
     R[j][v] sums the projectors of outcomes assigning +1 to v minus those
     assigning -1; S[v] = N0 - N1; L is psi reshaped into a dim_a x dim_b
-    coefficient matrix (row index on Alice's space).  Raises ValueError
-    unless the measurements and psi are valid to STRUCTURE_TOL.
+    coefficient matrix (row index on Alice's space).  Raises
+    InvalidStrategyError unless the measurements and psi are valid to
+    STRUCTURE_TOL.
     """
     _check_projective(p)
     alice: dict[str, dict[int, np.ndarray]] = {}

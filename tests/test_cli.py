@@ -215,6 +215,18 @@ class TestExitCodes:
             assert out == ""
             assert "state_norm" in err
 
+    def test_invalid_projective_file_exit_two(self, capsys, tmp_path):
+        obj = projective_to_json(to_projective(ideal_strategy()))
+        factor = 1 + 5e-9
+        obj["psi"]["data"] = [[factor * re, factor * im] for re, im in obj["psi"]["data"]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+
+        for argv in (["score"], ["certify", "--out", str(tmp_path / "report.json")], ["validate"]):
+            code, out, err = run(capsys, *argv, "--in", str(broken))
+            assert (code, out) == (2, "")
+            assert err.startswith("validation failure: invalid projective strategy (max deviation 5.0")
+
 
 def _drop(section, key):
     def mutate(obj):

@@ -1,9 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentagram.game import (
+    STANDARD_CONTEXTS,
     ClassicalStrategy,
     PentagramGame,
     best_classical_strategy,
@@ -146,6 +150,68 @@ class TestClassical:
         bob = {v: 1 for v in game.vertices}
         with pytest.raises(ValueError):
             evaluate_classical(game, ClassicalStrategy(alice, bob))
+
+
+def _reference_best_classical_strategy(game):
+    """The nested-loop enumeration the array version replaced, kept verbatim."""
+
+    def best_context_table(j, bob):
+        vs = game.contexts[j]
+        best_t, best_agree = None, -1
+        for t in parity_assignments(game, j):
+            agree = sum(1 for bit, v in zip(t, vs) if (1 - 2 * bit) == bob[v])
+            if agree > best_agree:
+                best_t, best_agree = t, agree
+        return {v: 1 - 2 * bit for bit, v in zip(best_t, vs)}, best_agree
+
+    verts = game.vertices
+    best_strategy, best_agree = None, -1
+    for signs in product((1, -1), repeat=len(verts)):
+        bob = dict(zip(verts, signs))
+        alice = {}
+        agree = 0
+        for j in game.context_names:
+            alice[j], a = best_context_table(j, bob)
+            agree += a
+        if agree > best_agree:
+            best_strategy, best_agree = ClassicalStrategy(alice, bob), agree
+    return best_strategy, Fraction(best_agree, 20)
+
+
+def _assert_same_witness(game):
+    witness, value = best_classical_strategy(game)
+    ref_witness, ref_value = _reference_best_classical_strategy(game)
+    assert value == ref_value
+    for j in game.context_names:
+        for v in game.contexts[j]:
+            assert witness.alice[j][v] == ref_witness.alice[j][v]
+    for v in game.vertices:
+        assert witness.bob[v] == ref_witness.bob[v]
+    return value
+
+
+@st.composite
+def relabelled_games(draw):
+    """A vertex permutation (with shifted ids) plus labels of either parity."""
+    perm = draw(st.permutations(range(1, 11)))
+    shift = draw(st.integers(0, 20))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
+    product_sign = draw(st.sampled_from([1, -1]))
+    contexts = {j: tuple(perm[v - 1] + shift for v in vs) for j, vs in STANDARD_CONTEXTS.items()}
+    labels = dict(zip("CDEFG", signs + [product_sign * prod(signs)]))
+    return PentagramGame(contexts=contexts, labels=labels), product_sign
+
+
+class TestAgainstNestedLoops:
+    def test_standard_game(self, game):
+        assert _assert_same_witness(game) == Fraction(19, 20)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(relabelled_games())
+    def test_relabelled_games(self, drawn):
+        game, product_sign = drawn
+        expected = Fraction(19, 20) if product_sign == -1 else Fraction(1)
+        assert _assert_same_witness(game) == expected
 
 
 class TestSerialization:

@@ -189,3 +189,22 @@ class TestScalingStudy:
     def test_fit_handles_degenerate_rows(self):
         fit = fit_summary([])
         assert fit["slope"] is None and fit["intercept"] is None
+
+
+def test_calibrate_delta_validates_once(monkeypatch):
+    # bisection steps only score; the accepted spec is validated once
+    calls = []
+
+    def counting(r, tol):
+        calls.append(tol)
+        return validate(r, tol)
+
+    monkeypatch.setattr(optimize, "validate", counting)
+    spec = calibrate_delta(1e-3, seed=3)
+    assert len(calls) == 1
+    calls.clear()
+    calibrate_delta(1e-4, mode="state-noise", seed=104)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert validate(perturb_ideal(spec), 1e-10).passed
+    assert spec == PerturbationSpec(0.03515625, 3, "combined")
