@@ -18,12 +18,16 @@ from .optimize import PerturbationSpec, perturb_ideal, rows_to_csv, scaling_stud
 from .rigidity import StrategyValidationError, certify, report_to_json
 from .strategies import (
     InvalidStrategyError,
+    ProjectiveStrategy,
+    _check_projective,
+    _reflection_form,
     ideal_strategy,
     load_reflection,
     losing_terms,
     projective_to_json,
     reflection_to_json,
     score,
+    strategy_from_json,
     to_projective,
     validate,
 )
@@ -76,7 +80,11 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    r = load_reflection(_read_json(args.infile))
+    r = strategy_from_json(_read_json(args.infile))
+    if isinstance(r, ProjectiveStrategy):
+        # the projective axioms are held to --tol too, not to STRUCTURE_TOL
+        _check_projective(r, args.tol)
+        r = _reflection_form(r)
     report = validate(r, args.tol)
     for name, dev in report.deviations().items():
         print(f"{name} {dev:.12e}")

@@ -8,6 +8,11 @@ side, optionally adding noise to the shared state.  Validity is therefore
 structural, not approximate, and the sub-optimality epsilon grows as
 delta**2 near the optimum.
 
+A sweep row validates its strategy once and measures only the families its
+CSV reports (epsilon, consistency, operator and state residuals) through
+rigidity's certificate core; certify adds the context-change, pair and
+change-word families that a row would throw away.
+
 Randomness policy: all draws come from numpy's default PCG64 generator.  A
 sweep derives one child seed per (sweep seed, delta index, sample index) via
 numpy's SeedSequence, so results are reproducible bit for bit and each row
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import STRUCTURE_TOL, exp_i_hermitian
-from .rigidity import certify
+from .rigidity import _core
 from .strategies import ReflectionStrategy, ideal_strategy, score, validate
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
@@ -42,13 +47,19 @@ class PerturbationSpec:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
 
 
 @dataclass
 class ScalingRow:
-    """One certified sample of a scaling sweep."""
+    """One sample of a scaling sweep.
+
+    Its residuals equal the fields of certify on the same strategy, but the
+    row computes only these families, not the full certificate.
+    """
 
     delta: float
     seed: int
@@ -218,19 +229,21 @@ def _child_seed(seed: int, delta_index: int, sample_index: int) -> int:
 
 
 def _study_row(delta: float, child_seed: int, mode: str) -> ScalingRow:
-    # certify validates, so the strategy is checked once
-    report = certify(_perturbed(PerturbationSpec(delta, child_seed, mode)))
-    eps = report.epsilon
+    # _core validates, so the strategy is checked once
+    core = _core(_perturbed(PerturbationSpec(delta, child_seed, mode)))
+    eps = core.epsilon
     sqrt_eps = float(np.sqrt(eps)) if eps > 0 else 0.0
+    state = core.extraction.state_residual
+    max_op = max(core.op_residuals.values())
     return ScalingRow(
         delta=float(delta),
         seed=int(child_seed),
         epsilon=float(eps),
-        state_residual=float(report.state_residual),
-        max_op_residual=float(report.max_op_residual),
-        max_consistency_residual=float(report.max_consistency_residual),
-        ratio_state=float(report.state_residual / sqrt_eps) if sqrt_eps else 0.0,
-        ratio_op=float(report.max_op_residual / sqrt_eps) if sqrt_eps else 0.0,
+        state_residual=float(state),
+        max_op_residual=float(max_op),
+        max_consistency_residual=float(max(core.consistency.values())),
+        ratio_state=float(state / sqrt_eps) if sqrt_eps else 0.0,
+        ratio_op=float(max_op / sqrt_eps) if sqrt_eps else 0.0,
     )
 
 
@@ -240,13 +253,20 @@ def scaling_study(
     seed: int,
     mode: str = "combined",
 ):
-    """Generate, validate and certify samples over a delta grid.
+    """Generate and validate samples over a delta grid and measure the CSV's families.
+
+    Each row gets epsilon and the state, operator and consistency residuals
+    from the certificate core; certify's other families are not computed.
 
     Returns (rows, fit) where fit least-squares the log of state_residual
     against the log of epsilon over all positive rows.  Rows come in (delta
     index, sample index) order, and each sample's seed derives from (seed,
     delta index, sample index) alone.
     """
+    if samples_per_delta < 0:
+        raise ValueError(f"samples_per_delta must be non-negative, got {samples_per_delta}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")

@@ -304,6 +304,7 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     """
     return _extract_state(r, _images(r))
 
+
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
     """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts."""
     out: dict[int, float] = {}
@@ -370,6 +371,33 @@ def _sampled_change_words(
     return out
 
 
+@dataclass
+class _Core:
+    """The residual families a scaling sweep reports, with their validation."""
+
+    validation: ValidationReport
+    epsilon: float
+    consistency: dict[tuple[str, int], float]
+    op_residuals: dict[str, float]
+    extraction: StateExtraction
+
+
+def _core(r: ReflectionStrategy) -> _Core:
+    """Validate at STRUCTURE_TOL, then measure epsilon, consistency, operators and state."""
+    report = validate(r, STRUCTURE_TOL)
+    if not report.passed:
+        raise StrategyValidationError(report)
+    terms = losing_terms(r)
+    images = _images(r)
+    return _Core(
+        validation=report,
+        epsilon=sum(terms.values()) / 20.0,
+        consistency=consistency_residuals(r),
+        op_residuals=_operator_residuals(r, images),
+        extraction=_extract_state(r, images),
+    )
+
+
 def certify(
     r: ReflectionStrategy,
     change_word_lengths=(2, 3, 4, 5, 6),
@@ -381,37 +409,27 @@ def certify(
     Validates the strategy at STRUCTURE_TOL first (raising
     StrategyValidationError on failure), then gathers every residual family
     along with the state extraction, and checks the hard per-question bound
-    consistency <= sqrt(80 epsilon) + BOUND_SLACK.
+    consistency <= sqrt(80 epsilon) + BOUND_SLACK.  The families a scaling
+    sweep reports come from _core, which the sweep calls directly; the
+    context-change, pair and change-word families are added here.
     """
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise StrategyValidationError(report)
-
-    terms = losing_terms(r)
-    epsilon = sum(terms.values()) / 20.0
-    consistency = consistency_residuals(r)
-    images = _images(r)
-    ops = _operator_residuals(r, images)
-    extraction = _extract_state(r, images)
-    change = context_change_residuals(r)
+    core = _core(r)
     comm, anti = _pair_residuals(r)
-    words = _sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed)
-    bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
-    bound_ok = all(res <= bound for res in consistency.values())
+    bound = np.sqrt(80.0 * max(core.epsilon, 0.0)) + BOUND_SLACK
 
     return RigidityReport(
-        epsilon=epsilon,
-        state_residual=extraction.state_residual,
-        bell_weights=extraction.bell_weights,
-        junk=extraction.junk,
-        op_residuals=ops,
-        consistency_residuals=consistency,
-        context_change_residuals=change,
+        epsilon=core.epsilon,
+        state_residual=core.extraction.state_residual,
+        bell_weights=core.extraction.bell_weights,
+        junk=core.extraction.junk,
+        op_residuals=core.op_residuals,
+        consistency_residuals=core.consistency,
+        context_change_residuals=context_change_residuals(r),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals=words,
-        consistency_bound_ok=bound_ok,
-        validation=report,
+        change_word_residuals=_sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed),
+        consistency_bound_ok=all(res <= bound for res in core.consistency.values()),
+        validation=core.validation,
     )
 
 

@@ -266,7 +266,12 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob, game=r.game)
 
 
-def _check_projective(p: ProjectiveStrategy) -> None:
+def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
+    """Raise InvalidStrategyError when a projective axiom deviates beyond tol.
+
+    The deviation is the worst of Hermiticity, idempotence and completeness
+    of every measurement, and | ||psi|| - 1 |.
+    """
     dev = 0.0
     for j in p.game.context_names:
         total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
@@ -281,7 +286,7 @@ def _check_projective(p: ProjectiveStrategy) -> None:
             dev = max(dev, frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N))
         dev = max(dev, frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
     dev = max(dev, abs(float(np.linalg.norm(p.psi)) - 1.0))
-    if dev > STRUCTURE_TOL:
+    if dev > tol:
         raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
 
 
@@ -295,6 +300,11 @@ def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
     STRUCTURE_TOL.
     """
     _check_projective(p)
+    return _reflection_form(p)
+
+
+def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
+    """to_reflection's conversion, for callers that check the axioms themselves."""
     alice: dict[str, dict[int, np.ndarray]] = {}
     for j in p.game.context_names:
         vs = p.game.contexts[j]

@@ -227,6 +227,40 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("validation failure: invalid projective strategy (max deviation 5.0")
 
+    def test_validate_tol_applies_to_projective_files(self, capsys, tmp_path):
+        obj = projective_to_json(to_projective(ideal_strategy()))
+        factor = 1 + 5e-9
+        obj["psi"]["data"] = [[factor * re, factor * im] for re, im in obj["psi"]["data"]]
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(obj))
+
+        code, out, err = run(capsys, "validate", "--in", str(loose), "--tol", "1e-6")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-1] == "PASS"
+        assert lines[-2].startswith("state_norm 4.99999")
+        code, out, err = run(capsys, "validate", "--in", str(loose))
+        assert (code, out) == (2, "")
+        assert err.startswith("validation failure: invalid projective strategy (max deviation 5.0")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scaling-study", "--deltas", "0.01", "--samples", "-3", "--seed", "1"], "samples_per_delta must be non-negative, got -3"),
+            (["scaling-study", "--deltas", "0.01", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["perturb", "--delta", "0.01", "--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+        ids=["study-samples", "study-seed", "perturb-seed"],
+    )
+    def test_negative_counts_and_seeds(self, capsys, tmp_path, argv, message):
+        outputs = [tmp_path / "out.csv", tmp_path / "fit.json"]
+        extra = ["--out", str(outputs[0])]
+        if argv[0] == "scaling-study":
+            extra += ["--summary", str(outputs[1])]
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not any(path.exists() for path in outputs)
+
 
 def _drop(section, key):
     def mutate(obj):

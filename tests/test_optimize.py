@@ -15,6 +15,7 @@ from pentagram.optimize import (
     rows_to_csv,
     scaling_study,
 )
+from pentagram.rigidity import certify
 from pentagram.strategies import ideal_strategy, score, validate
 
 
@@ -179,6 +180,41 @@ class TestScalingStudy:
         monkeypatch.setattr(rigidity, "validate", counting)
         rows, _ = scaling_study([1e-3, 1e-2], 2, seed=4)
         assert len(calls) == len(rows) == 4
+
+    def test_rows_equal_certify(self):
+        # the sweep's core gives exactly what the full certificate reports
+        for mode in MODES:
+            rows, _ = scaling_study([1e-3, 1e-1], 2, seed=21, mode=mode)
+            for row in rows:
+                report = certify(perturb_ideal(PerturbationSpec(row.delta, row.seed, mode)))
+                sqrt_eps = float(np.sqrt(report.epsilon))
+                assert row.epsilon == report.epsilon
+                assert row.state_residual == report.state_residual
+                assert row.max_op_residual == report.max_op_residual
+                assert row.max_consistency_residual == report.max_consistency_residual
+                assert row.ratio_state == report.state_residual / sqrt_eps
+                assert row.ratio_op == report.max_op_residual / sqrt_eps
+
+    def test_rows_skip_certify_only_families(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep row computed a family the CSV does not report")
+
+        for name in ("_pair_residuals", "_sampled_change_words", "context_change_residuals"):
+            monkeypatch.setattr(rigidity, name, refuse)
+        with pytest.raises(AssertionError):
+            certify(ideal_strategy())
+        rows, fit = scaling_study([1e-3, 1e-2], 2, seed=4)
+        assert len(rows) == fit["n_rows"] == 4
+
+    def test_negative_samples_and_seed_rejected(self, monkeypatch):
+        # refused before any row is computed
+        monkeypatch.setattr(optimize, "_study_row", None)
+        with pytest.raises(ValueError, match="samples_per_delta must be non-negative, got -3"):
+            scaling_study([1e-2], -3, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            scaling_study([1e-2], 2, seed=-1)
+        monkeypatch.undo()
+        assert scaling_study([1e-2], 0, seed=0)[0] == []
 
     def test_bad_deltas_rejected(self):
         with pytest.raises(ValueError):
