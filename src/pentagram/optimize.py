@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STRUCTURE_TOL, exp_i_hermitian
+from .linalg import STRUCTURE_TOL, _dagger, exp_i_hermitian
 from .rigidity import _core
 from .strategies import ReflectionStrategy, ideal_strategy, score, validate
 
@@ -71,11 +71,17 @@ class ScalingRow:
     ratio_op: float
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Hermitian matrix with unit operator norm, from complex Gaussian entries."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+def random_hermitian(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """(count, dim, dim) stack of Hermitian matrices with unit operator norm.
+
+    Each comes from complex Gaussian entries; one draw of shape
+    (count, 2, dim, dim) gives every matrix its real then imaginary part, the
+    same stream as two (dim, dim) draws per matrix.
+    """
+    x = rng.standard_normal((count, 2, dim, dim))
+    g = x[:, 0] + 1j * x[:, 1]
+    h = (g + _dagger(g)) / 2
+    return h / np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)[:, None, None]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -101,15 +107,21 @@ def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
     bob_on = active and spec.mode in ("bob-unitaries", "combined")
     state_on = active and spec.mode in ("state-noise", "combined")
 
+    names, verts = r.game.context_names, r.game.vertices
+    k = len(names) * alice_on + len(verts) * bob_on
+    if k:
+        # the ideal strategy has dim_a == dim_b, so one draw serves both sides
+        u = exp_i_hermitian(random_hermitian(rng, r.dim_a, k), spec.delta)
+        uh = _dagger(u)
     if alice_on:
-        for j in r.game.context_names:
-            u = exp_i_hermitian(random_hermitian(rng, r.dim_a), spec.delta)
-            for v in r.game.contexts[j]:
-                r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
+        a = np.array([[r.alice[j][v] for v in r.game.contexts[j]] for j in names])
+        a = u[: len(names), None] @ a @ uh[: len(names), None]
+        for ji, j in enumerate(names):
+            r.alice[j] = dict(zip(r.game.contexts[j], a[ji]))
     if bob_on:
-        for v in r.game.vertices:
-            u = exp_i_hermitian(random_hermitian(rng, r.dim_b), spec.delta)
-            r.bob[v] = u @ r.bob[v] @ u.conj().T
+        b = np.array([r.bob[v] for v in verts])
+        b = u[k - len(verts) :] @ b @ uh[k - len(verts) :]
+        r.bob = dict(zip(verts, b))
     if state_on:
         w = rng.standard_normal(r.L.shape) + 1j * rng.standard_normal(r.L.shape)
         w /= np.linalg.norm(w)
@@ -165,15 +177,18 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     L^dagger R[j][v] L.  Eigenvalues of W[v] that vanish are mapped to +1 for
     determinism.  The score never decreases.
     """
-    new_bob: dict[int, np.ndarray] = {}
-    for v in r.game.vertices:
-        w = np.zeros((r.dim_b, r.dim_b), dtype=complex)
-        for j in r.game.contexts_of(v):
-            w += r.L.conj().T @ r.alice[j][v] @ r.L
-        w = (w + w.conj().T) / 2
-        vals, vecs = np.linalg.eigh(w)
-        signs = np.where(vals >= 0.0, 1.0, -1.0)
-        new_bob[v] = (vecs * signs) @ vecs.conj().T
+    verts = r.game.vertices
+    a = np.array([[r.alice[j][v] for j in r.game.contexts_of(v)] for v in verts])
+    x = r.L.conj().T @ a @ r.L
+    # summed onto zeros context by context, not by x.sum: the sign of a zero
+    # entry can change what eigh returns
+    w = np.zeros((len(verts), r.dim_b, r.dim_b), dtype=complex)
+    for c in range(x.shape[1]):
+        w += x[:, c]
+    w = (w + _dagger(w)) / 2
+    vals, vecs = np.linalg.eigh(w)
+    signs = np.where(vals >= 0.0, 1.0, -1.0)
+    new_bob = dict(zip(verts, (vecs * signs[:, None, :]) @ _dagger(vecs)))
     alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
     return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob, game=r.game)
 
@@ -268,8 +283,9 @@ def scaling_study(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    bad = [d for d in deltas if not 0.0 < d <= 1.0]
+    if bad:
+        raise ValueError(f"deltas must lie in (0, 1], got {bad[0]}")
     if sorted(deltas) != deltas:
         raise ValueError("deltas must be ascending")
     rows = [

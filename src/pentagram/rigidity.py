@@ -32,6 +32,7 @@ from .linalg import (
     HADAMARD,
     PLUS,
     STRUCTURE_TOL,
+    _frobenius_norms,
     as_matrix,
     bell_matrix,
     frobenius_norm,
@@ -42,6 +43,7 @@ from .strategies import (
     InvalidStrategyError,
     ReflectionStrategy,
     ValidationReport,
+    _question_stacks,
     losing_terms,
     select_distinguished,
     validate,
@@ -110,8 +112,9 @@ def _check_reflection(m: np.ndarray) -> None:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"reflections must be square, got {m.shape}")
-    dev = max(frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n)))
-    if dev > STRUCTURE_TOL:
+    # np.max, unlike max(), keeps a NaN deviation, which then fails
+    dev = np.max([frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n))])
+    if not dev <= STRUCTURE_TOL:
         raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
 
 
@@ -171,11 +174,9 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     sqrt(80 epsilon): the corresponding losing term is (1/4) times the
     squared residual and no term exceeds 20 times the losing probability.
     """
-    out: dict[tuple[str, int], float] = {}
-    for j in r.game.context_names:
-        for v in r.game.contexts[j]:
-            out[(j, v)] = frobenius_norm(r.alice[j][v] @ r.L - r.L @ r.bob[v])
-    return out
+    R, S = _question_stacks(r)
+    res = _frobenius_norms(R @ r.L - r.L @ S)
+    return dict(zip(r.game.questions(), map(float, res)))
 
 
 @dataclass
@@ -307,11 +308,9 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
 
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
     """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts."""
-    out: dict[int, float] = {}
-    for v in r.game.vertices:
-        j1, j2 = r.game.contexts_of(v)
-        out[v] = frobenius_norm(r.alice[j1][v] @ r.L - r.alice[j2][v] @ r.L)
-    return out
+    verts = r.game.vertices
+    x = np.array([[r.alice[j][v] for j in r.game.contexts_of(v)] for v in verts]) @ r.L
+    return dict(zip(verts, map(float, _frobenius_norms(x[:, 0] - x[:, 1]))))
 
 
 def _pair_residuals(r: ReflectionStrategy):

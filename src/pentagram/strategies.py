@@ -39,6 +39,8 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     STRUCTURE_TOL,
+    _dagger,
+    _frobenius_norms,
     as_matrix,
     frobenius_norm,
     kron_all,
@@ -176,22 +178,25 @@ def ideal_strategy() -> ReflectionStrategy:
     return ReflectionStrategy(L=L, alice=alice, bob=bob, game=game)
 
 
+def _question_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """R[j][v] and S[v] of the 20 questions, stacked in game.questions() order."""
+    qs = r.game.questions()
+    return np.array([r.alice[j][v] for j, v in qs]), np.array([r.bob[v] for _, v in qs])
+
+
 def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     """Disagreement probability of each of the 20 questions.
 
-    One minus the score equals the mean of this table.
+    One minus the score equals the mean of this table.  All 20 projector
+    products run as one stacked pass.
     """
-    out: dict[tuple[str, int], float] = {}
+    R, S = _question_stacks(r)
     Ia = np.eye(r.dim_a)
     Ib = np.eye(r.dim_b)
-    for j in r.game.context_names:
-        for v in r.game.contexts[j]:
-            R = r.alice[j][v]
-            S = r.bob[v]
-            up = ((Ia + R) / 2) @ r.L @ ((Ib - S) / 2)
-            dn = ((Ia - R) / 2) @ r.L @ ((Ib + S) / 2)
-            out[(j, v)] = float(np.linalg.norm(up) ** 2 + np.linalg.norm(dn) ** 2)
-    return out
+    up = _frobenius_norms(((Ia + R) / 2) @ r.L @ ((Ib - S) / 2))
+    dn = _frobenius_norms(((Ia - R) / 2) @ r.L @ ((Ib + S) / 2))
+    # squared one scalar at a time: array ** 2 can round differently
+    return {q: float(u**2 + d**2) for q, u, d in zip(r.game.questions(), up, dn)}
 
 
 def score(r: ReflectionStrategy) -> float:
@@ -200,34 +205,40 @@ def score(r: ReflectionStrategy) -> float:
     return 1.0 - sum(terms.values()) / 20.0
 
 
+# The six vertex pairs (a, b), a < b, of a four-vertex context.
+_PAIRS_A, _PAIRS_B = np.triu_indices(4, k=1)
+
+
 def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
-    """Measure the worst deviation from each reflection-strategy axiom."""
-    herm = 0.0
-    invol = 0.0
-    comm = 0.0
-    prod = 0.0
-    ops = [r.bob[v] for v in r.game.vertices]
-    for j in r.game.context_names:
-        ops.extend(r.alice[j][v] for v in r.game.contexts[j])
-    for A in ops:
-        A = as_matrix(A)
-        n = A.shape[0]
-        herm = max(herm, frobenius_norm(A - A.conj().T))
-        invol = max(invol, frobenius_norm(A @ A - np.eye(n)))
-    for j in r.game.context_names:
-        vs = r.game.contexts[j]
-        mats = [r.alice[j][v] for v in vs]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                comm = max(comm, frobenius_norm(mats[a] @ mats[b] - mats[b] @ mats[a]))
-        P = np.eye(r.dim_a, dtype=complex)
-        for m in mats:
-            P = P @ m
-        dev = frobenius_norm(P - r.game.labels[j] * np.eye(r.dim_a))
-        prod = max(prod, dev / np.sqrt(r.dim_a))
+    """Measure the worst deviation from each reflection-strategy axiom.
+
+    Each axiom is checked on stacks: Bob's 10 operators, Alice's (5, 4)
+    context array and its 30 in-context pairs.  A non-finite deviation
+    fails.
+    """
+    names = r.game.context_names
+    bob = np.array([r.bob[v] for v in r.game.vertices], dtype=complex)
+    alice = np.array([[r.alice[j][v] for v in r.game.contexts[j]] for j in names], dtype=complex)
+    herm, invol = [], []
+    for A in (bob, alice):
+        herm.append(_frobenius_norms(A - _dagger(A)).ravel())
+        invol.append(_frobenius_norms(A @ A - np.eye(A.shape[-1])).ravel())
+    a, b = alice[:, _PAIRS_A], alice[:, _PAIRS_B]
+    # subtracted in place: one 30-matrix temporary fewer, which shows in
+    # the peak memory of d = 32 strategies
+    comm = a @ b
+    comm -= b @ a
+    comm = _frobenius_norms(comm)
+    P = np.eye(r.dim_a, dtype=complex)
+    for i in range(alice.shape[1]):
+        P = P @ alice[:, i]
+    labels = np.array([r.game.labels[j] for j in names])[:, None, None]
+    prod = _frobenius_norms(P - labels * np.eye(r.dim_a)) / np.sqrt(r.dim_a)
+    # np.max, unlike max(), keeps a NaN deviation, which then fails
+    devs = [float(np.max(x)) for x in (np.concatenate(herm), np.concatenate(invol), comm, prod)]
     state = abs(frobenius_norm(r.L) - 1.0)
-    passed = all(d <= tol for d in (herm, invol, comm, prod, state))
-    return ValidationReport(herm, invol, comm, prod, state, tol, passed)
+    passed = all(d <= tol for d in (*devs, state))
+    return ValidationReport(*devs, state, tol, passed)
 
 
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
@@ -272,21 +283,23 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
     The deviation is the worst of Hermiticity, idempotence and completeness
     of every measurement, and | ||psi|| - 1 |.
     """
-    dev = 0.0
+    devs = []
     for j in p.game.context_names:
         total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
         for M in p.alice[j].values():
             M = as_matrix(M)
-            dev = max(dev, frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M))
+            devs += [frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M)]
             total += M
-        dev = max(dev, frobenius_norm(total - np.eye(p.dim_a)))
+        devs.append(frobenius_norm(total - np.eye(p.dim_a)))
     for N0, N1 in p.bob.values():
         for N in (N0, N1):
             N = as_matrix(N)
-            dev = max(dev, frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N))
-        dev = max(dev, frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
-    dev = max(dev, abs(float(np.linalg.norm(p.psi)) - 1.0))
-    if dev > tol:
+            devs += [frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N)]
+        devs.append(frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
+    devs.append(abs(float(np.linalg.norm(p.psi)) - 1.0))
+    # np.max, unlike max(), keeps a NaN deviation, which then fails
+    dev = np.max(devs)
+    if not dev <= tol:
         raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
 
 

@@ -174,6 +174,24 @@ class TestExitCodes:
         report = tmp_path / "report.json"
         assert run(capsys, "certify", "--in", str(broken), "--out", str(report))[0] == 2
 
+    def test_non_finite_deviation_fails(self, capsys, tmp_path):
+        # S[1] is symmetric and finite, but S[1] @ S[1] overflows to NaN
+        obj = reflection_to_json(ideal_strategy())
+        g = np.random.default_rng(0).standard_normal((8, 8))
+        obj["S"]["1"] = matrix_to_json((g + g.T) * 1e200)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+
+        code, out, _ = run(capsys, "validate", "--in", str(broken))
+        assert code == 2
+        assert "involution nan" in out.splitlines()
+        assert out.splitlines()[-1] == "FAIL"
+        for argv in (["score"], ["certify", "--out", str(tmp_path / "report.json")]):
+            code, out, err = run(capsys, *argv, "--in", str(broken))
+            assert (code, out) == (2, "")
+            assert "involution nan" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("factor", [0.0, 2.0])
     def test_score_rejects_unnormalized_state(self, capsys, tmp_path, factor):
         ideal = tmp_path / "ideal.json"
@@ -249,8 +267,9 @@ class TestExitCodes:
             (["scaling-study", "--deltas", "0.01", "--samples", "-3", "--seed", "1"], "samples_per_delta must be non-negative, got -3"),
             (["scaling-study", "--deltas", "0.01", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["perturb", "--delta", "0.01", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["scaling-study", "--deltas", "0.01,2", "--samples", "30", "--seed", "1"], "deltas must lie in (0, 1], got 2.0"),
         ],
-        ids=["study-samples", "study-seed", "perturb-seed"],
+        ids=["study-samples", "study-seed", "perturb-seed", "study-delta-above-one"],
     )
     def test_negative_counts_and_seeds(self, capsys, tmp_path, argv, message):
         outputs = [tmp_path / "out.csv", tmp_path / "fit.json"]

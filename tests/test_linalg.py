@@ -6,6 +6,7 @@ from pentagram.linalg import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
+    _frobenius_norms,
     bell_matrix,
     exp_i_hermitian,
     frobenius_norm,
@@ -104,6 +105,30 @@ class TestExpIHermitian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             exp_i_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+    def test_stack_with_non_hermitian_slice_rejected(self):
+        rng = np.random.default_rng(10)
+        h = np.stack([_rand_hermitian(rng, 4) for _ in range(5)])
+        h[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            exp_i_hermitian(h, 0.5)
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(11)
+        h = np.stack([_rand_hermitian(rng, 8) for _ in range(6)])
+        u = exp_i_hermitian(h, 0.3)
+        assert all(np.array_equal(u[i], exp_i_hermitian(h[i], 0.3)) for i in range(6))
+
+
+class TestStackedNorms:
+    def test_bitwise_equal_to_frobenius_norm(self):
+        rng = np.random.default_rng(12)
+        for shape in ((7, 8, 8), (3, 4, 32, 32), (2, 5, 3), (4, 1, 1), (8, 8)):
+            a = _rand_complex(rng, shape)
+            norms = _frobenius_norms(a)
+            assert norms.shape == shape[:-2]
+            for idx in np.ndindex(shape[:-2]):
+                assert norms[idx] == frobenius_norm(a[idx])
 
 
 class TestBellMatrices:

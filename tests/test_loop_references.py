@@ -1,0 +1,213 @@
+"""The stacked kernels against the per-matrix loops they replaced.
+
+Each reference below is the earlier loop form, kept verbatim apart from
+names and docstrings, the way test_rigidity keeps the dense Kronecker
+isometry.  The stacked
+kernels run the same floating-point operations in the same order, so every
+comparison is exact: `==` on floats and np.array_equal on matrices, with no
+tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+from pentagram.linalg import STRUCTURE_TOL, as_matrix, frobenius_norm
+from pentagram.optimize import (
+    MODES,
+    PerturbationSpec,
+    _perturbed,
+    bob_best_response,
+    random_strategy,
+)
+from pentagram.rigidity import consistency_residuals, context_change_residuals
+from pentagram.strategies import (
+    ReflectionStrategy,
+    ValidationReport,
+    ideal_strategy,
+    losing_terms,
+    validate,
+)
+
+
+def ref_hermitian_eigendecomposition(a):
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got {a.shape}")
+    dev = frobenius_norm(a - a.conj().T)
+    if dev > STRUCTURE_TOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {STRUCTURE_TOL:.3e})")
+    w, v = np.linalg.eigh(a)
+    return w, v
+
+
+def ref_exp_i_hermitian(h, scale: float) -> np.ndarray:
+    w, v = ref_hermitian_eigendecomposition(h)
+    return (v * np.exp(1j * scale * w)) @ v.conj().T
+
+
+def ref_random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+
+
+def ref_perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
+    rng = np.random.default_rng(spec.seed)
+    r = ideal_strategy()
+    active = spec.delta > 0.0
+    alice_on = active and spec.mode in ("context-unitaries", "combined")
+    bob_on = active and spec.mode in ("bob-unitaries", "combined")
+    state_on = active and spec.mode in ("state-noise", "combined")
+
+    if alice_on:
+        for j in r.game.context_names:
+            u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_a), spec.delta)
+            for v in r.game.contexts[j]:
+                r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
+    if bob_on:
+        for v in r.game.vertices:
+            u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_b), spec.delta)
+            r.bob[v] = u @ r.bob[v] @ u.conj().T
+    if state_on:
+        w = rng.standard_normal(r.L.shape) + 1j * rng.standard_normal(r.L.shape)
+        w /= np.linalg.norm(w)
+        L = r.L + spec.delta * w
+        r.L = L / np.linalg.norm(L)
+    return r
+
+
+def ref_losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
+    out: dict[tuple[str, int], float] = {}
+    Ia = np.eye(r.dim_a)
+    Ib = np.eye(r.dim_b)
+    for j in r.game.context_names:
+        for v in r.game.contexts[j]:
+            R = r.alice[j][v]
+            S = r.bob[v]
+            up = ((Ia + R) / 2) @ r.L @ ((Ib - S) / 2)
+            dn = ((Ia - R) / 2) @ r.L @ ((Ib + S) / 2)
+            out[(j, v)] = float(np.linalg.norm(up) ** 2 + np.linalg.norm(dn) ** 2)
+    return out
+
+
+def ref_validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
+    herm = 0.0
+    invol = 0.0
+    comm = 0.0
+    prod = 0.0
+    ops = [r.bob[v] for v in r.game.vertices]
+    for j in r.game.context_names:
+        ops.extend(r.alice[j][v] for v in r.game.contexts[j])
+    for A in ops:
+        A = as_matrix(A)
+        n = A.shape[0]
+        herm = max(herm, frobenius_norm(A - A.conj().T))
+        invol = max(invol, frobenius_norm(A @ A - np.eye(n)))
+    for j in r.game.context_names:
+        vs = r.game.contexts[j]
+        mats = [r.alice[j][v] for v in vs]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                comm = max(comm, frobenius_norm(mats[a] @ mats[b] - mats[b] @ mats[a]))
+        P = np.eye(r.dim_a, dtype=complex)
+        for m in mats:
+            P = P @ m
+        dev = frobenius_norm(P - r.game.labels[j] * np.eye(r.dim_a))
+        prod = max(prod, dev / np.sqrt(r.dim_a))
+    state = abs(frobenius_norm(r.L) - 1.0)
+    passed = all(d <= tol for d in (herm, invol, comm, prod, state))
+    return ValidationReport(herm, invol, comm, prod, state, tol, passed)
+
+
+def ref_bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
+    new_bob: dict[int, np.ndarray] = {}
+    for v in r.game.vertices:
+        w = np.zeros((r.dim_b, r.dim_b), dtype=complex)
+        for j in r.game.contexts_of(v):
+            w += r.L.conj().T @ r.alice[j][v] @ r.L
+        w = (w + w.conj().T) / 2
+        vals, vecs = np.linalg.eigh(w)
+        signs = np.where(vals >= 0.0, 1.0, -1.0)
+        new_bob[v] = (vecs * signs) @ vecs.conj().T
+    alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
+    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob, game=r.game)
+
+
+def ref_consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
+    out: dict[tuple[str, int], float] = {}
+    for j in r.game.context_names:
+        for v in r.game.contexts[j]:
+            out[(j, v)] = frobenius_norm(r.alice[j][v] @ r.L - r.L @ r.bob[v])
+    return out
+
+
+def ref_context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for v in r.game.vertices:
+        j1, j2 = r.game.contexts_of(v)
+        out[v] = frobenius_norm(r.alice[j1][v] @ r.L - r.alice[j2][v] @ r.L)
+    return out
+
+
+def assert_same_strategy(a: ReflectionStrategy, b: ReflectionStrategy):
+    assert np.array_equal(a.L, b.L)
+    for j in a.game.context_names:
+        for v in a.game.contexts[j]:
+            assert np.array_equal(a.alice[j][v], b.alice[j][v]), (j, v)
+    for v in a.game.vertices:
+        assert np.array_equal(a.bob[v], b.bob[v]), v
+
+
+def assert_kernels_match(r: ReflectionStrategy):
+    """Every stacked kernel equals its loop reference on r, exactly."""
+    assert losing_terms(r) == ref_losing_terms(r)
+    for tol in (STRUCTURE_TOL, 1e-3):
+        assert validate(r, tol) == ref_validate(r, tol)
+    assert consistency_residuals(r) == ref_consistency_residuals(r)
+    assert context_change_residuals(r) == ref_context_change_residuals(r)
+    assert_same_strategy(bob_best_response(r), ref_bob_best_response(r))
+
+
+seeds = st.integers(0, 2**32 - 1)
+# no shrink phase: a smaller seed explains a mismatch no better than the first
+budget = settings(
+    max_examples=4, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-4, 0.3, 1.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_perturbed_matches_loops(mode, delta):
+    @budget
+    @given(seeds)
+    @example(2)  # with (0.3, context-unitaries), an array ** 2 of its norms moves a term's last bit
+    def check(seed):
+        spec = PerturbationSpec(delta, seed, mode)
+        r = _perturbed(spec)
+        assert_same_strategy(r, ref_perturbed(spec))
+        assert_kernels_match(r)
+
+    check()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_strategy_matches_loops(seed):
+    assert_kernels_match(random_strategy(seed))
+
+
+def test_junk_register_strategy_matches_loops():
+    """A d = 32 strategy of the form P (x) I_4 with a random 4x4 junk state."""
+    r = _perturbed(PerturbationSpec(0.05, 9, "combined"))
+    i4 = np.eye(4)
+    for j in r.game.context_names:
+        r.alice[j] = {v: np.kron(m, i4) for v, m in r.alice[j].items()}
+    r.bob = {v: np.kron(m, i4) for v, m in r.bob.items()}
+    rng = np.random.default_rng(9)
+    junk = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    r.L = np.kron(r.L, junk / np.linalg.norm(junk))
+    assert r.dim_a == r.dim_b == 32
+    assert validate(r, STRUCTURE_TOL).passed
+    assert_kernels_match(r)

@@ -80,8 +80,9 @@ class TestPerturbIdeal:
 
     def test_generator_normalization(self):
         rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 8)
-        assert np.max(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(1.0, abs=1e-12)
+        h = random_hermitian(rng, 8, 3)
+        assert h.shape == (3, 8, 8)
+        assert np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) == pytest.approx([1.0] * 3, abs=1e-12)
 
 
 class TestBobBestResponse:
@@ -215,6 +216,12 @@ class TestScalingStudy:
             scaling_study([1e-2], 2, seed=-1)
         monkeypatch.undo()
         assert scaling_study([1e-2], 0, seed=0)[0] == []
+
+    def test_delta_above_one_rejected_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_study_row", None)
+        for samples in (30, 0):
+            with pytest.raises(ValueError, match=r"deltas must lie in \(0, 1\], got 2.0"):
+                scaling_study([0.01, 2], samples, seed=1)
 
     def test_bad_deltas_rejected(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,10 @@ class TestIsometry:
             build_isometry([0.5 * np.eye(4)] + good[:2], good)
         with pytest.raises(ValueError):
             build_isometry(good[:2], good)
+        # symmetric, but its square overflows to a NaN involution deviation
+        g = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="not a reflection"):
+            build_isometry([(g + g.T) * 1e200] + good[:2], good)
 
 
 class TestOperatorResiduals:
