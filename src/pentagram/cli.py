@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .game import PentagramGame, classical_value
+from .game import STANDARD_GAME, classical_value
 from .linalg import STRUCTURE_TOL, dump_json
 from .optimize import PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
 from .rigidity import StrategyValidationError, certify, report_to_json
@@ -59,7 +59,7 @@ def _cmd_value(args) -> int:
     else:
         prefix = args.classical and args.quantum
     if args.classical:
-        value = classical_value(PentagramGame())
+        value = classical_value(STANDARD_GAME)
         lead = "classical: " if prefix else ""
         print(f"{lead}{value} = {float(value)}")
     if args.quantum:

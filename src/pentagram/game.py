@@ -36,12 +36,20 @@ STANDARD_LABELS = {"C": 1, "D": 1, "E": 1, "F": 1, "G": -1}
 
 @dataclass(frozen=True)
 class PentagramGame:
-    """Hypergraph of the game: context sets plus their parity labels."""
+    """Hypergraph of the game: context sets plus their parity labels.
+
+    The name, vertex, question and vertex-to-context tables are built once,
+    when the game is constructed.
+    """
 
     contexts: dict[str, tuple[int, ...]] = field(
         default_factory=lambda: dict(STANDARD_CONTEXTS)
     )
     labels: dict[str, int] = field(default_factory=lambda: dict(STANDARD_LABELS))
+    context_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _questions: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    _contexts_of: dict[int, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.contexts) != set(self.labels):
@@ -61,25 +69,25 @@ class PentagramGame:
             raise ValueError("every vertex must appear in exactly 2 contexts")
         if any(l not in (-1, 1) for l in self.labels.values()):
             raise ValueError("labels must be +1 or -1")
-
-    @property
-    def context_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.contexts))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for vs in self.contexts.values() for v in vs}))
+        names = tuple(sorted(norm))
+        verts = tuple(sorted(counts))
+        object.__setattr__(self, "context_names", names)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_questions", tuple((j, v) for j in names for v in norm[j]))
+        object.__setattr__(
+            self, "_contexts_of", {v: tuple(j for j in names if v in norm[j]) for v in verts}
+        )
 
     def contexts_of(self, v: int) -> tuple[str, ...]:
         """The two contexts containing vertex v, in name order."""
-        out = tuple(j for j in self.context_names if v in self.contexts[j])
-        if not out:
-            raise ValueError(f"unknown vertex {v}")
-        return out
+        try:
+            return self._contexts_of[v]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown vertex {v}") from None
 
     def questions(self) -> list[tuple[str, int]]:
         """All 20 (context, vertex) question pairs, each of weight 1/20."""
-        return [(j, v) for j in self.context_names for v in self.contexts[j]]
+        return list(self._questions)
 
     def adjacent(self, v: int, w: int) -> bool:
         """True when some context contains both vertices."""
@@ -105,6 +113,10 @@ class PentagramGame:
             contexts={j: tuple(vs) for j, vs in obj["contexts"].items()},
             labels={j: int(l) for j, l in obj["labels"].items()},
         )
+
+
+# The one standard game that strategies and the ideal strategy share.
+STANDARD_GAME = PentagramGame()
 
 
 def parity_assignments(game: PentagramGame, j: str) -> list[tuple[int, ...]]:

@@ -106,7 +106,14 @@ def exp_i_hermitian(h, scale: float) -> np.ndarray:
 
     h may be a (..., n, n) stack; every matrix is exponentiated in one pass.
     """
-    w, v = hermitian_eigendecomposition(h)
+    return _exp_i_eigen(*hermitian_eigendecomposition(h), scale)
+
+
+def _exp_i_eigen(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """exp(i*scale*h) from the eigendecomposition (w, v) of a Hermitian stack h.
+
+    Callers that exponentiate one h at many scales decompose it once.
+    """
     return (v * np.exp(1j * scale * w)[..., None, :]) @ _dagger(v)
 
 

@@ -8,6 +8,12 @@ side, optionally adding noise to the shared state.  Validity is therefore
 structural, not approximate, and the sub-optimality epsilon grows as
 delta**2 near the optimum.
 
+A perturbation comes in two halves.  The draw holds everything that does
+not depend on delta: the generators, their eigendecompositions and the
+state noise.  Applying it at a scale delta only exponentiates the stored
+eigendecompositions and conjugates.  A calibration draws once and applies
+that draw at every bisection step; no draw outlives the call.
+
 A sweep row validates its strategy once and measures only the families its
 CSV reports (epsilon, consistency, operator and state residuals) through
 rigidity's certificate core; certify adds the context-change, pair and
@@ -25,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STRUCTURE_TOL, _dagger, exp_i_hermitian
+from .linalg import STRUCTURE_TOL, _dagger, _exp_i_eigen, hermitian_eigendecomposition
 from .rigidity import _core
-from .strategies import ReflectionStrategy, ideal_strategy, score, validate
+from .strategies import (
+    ReflectionStrategy,
+    _ideal_arrays,
+    _standard_strategy,
+    ideal_strategy,
+    score,
+    validate,
+)
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
 
@@ -98,35 +111,61 @@ def random_reflection(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (v * signs) @ v.conj().T
 
 
-def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
-    """perturb_ideal without its validation, for callers that validate anyway."""
-    rng = np.random.default_rng(spec.seed)
-    r = ideal_strategy()
-    active = spec.delta > 0.0
-    alice_on = active and spec.mode in ("context-unitaries", "combined")
-    bob_on = active and spec.mode in ("bob-unitaries", "combined")
-    state_on = active and spec.mode in ("state-noise", "combined")
+def _draw(seed: int, mode: str):
+    """The delta-independent half of a perturbation, in perturb_ideal's draw order.
 
-    names, verts = r.game.context_names, r.game.vertices
-    k = len(names) * alice_on + len(verts) * bob_on
+    Returns (alice, bob, w, v, noise): whether each side is conjugated, the
+    eigendecomposition of the Hermitian generators (contexts alphabetical,
+    then Bob's vertices ascending) and the state noise scaled to unit
+    Frobenius norm.  An array is None when the mode does not use it.
+    """
+    rng = np.random.default_rng(seed)
+    L, a, b = _ideal_arrays()
+    alice = mode in ("context-unitaries", "combined")
+    bob = mode in ("bob-unitaries", "combined")
+    k = len(a) * alice + len(b) * bob
+    w = v = noise = None
     if k:
         # the ideal strategy has dim_a == dim_b, so one draw serves both sides
-        u = exp_i_hermitian(random_hermitian(rng, r.dim_a, k), spec.delta)
+        w, v = hermitian_eigendecomposition(random_hermitian(rng, L.shape[0], k))
+    if mode in ("state-noise", "combined"):
+        noise = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
+        noise /= np.linalg.norm(noise)
+    return alice, bob, w, v, noise
+
+
+def _apply(draw, delta: float) -> ReflectionStrategy:
+    """The ideal strategy perturbed by a _draw at scale delta (the ideal at 0)."""
+    if delta == 0.0:
+        return ideal_strategy()
+    alice, bob, w, v, noise = draw
+    L, a, b = _ideal_arrays()
+    if v is not None:
+        u = _exp_i_eigen(w, v, delta)
         uh = _dagger(u)
-    if alice_on:
-        a = np.array([[r.alice[j][v] for v in r.game.contexts[j]] for j in names])
-        a = u[: len(names), None] @ a @ uh[: len(names), None]
-        for ji, j in enumerate(names):
-            r.alice[j] = dict(zip(r.game.contexts[j], a[ji]))
-    if bob_on:
-        b = np.array([r.bob[v] for v in verts])
-        b = u[k - len(verts) :] @ b @ uh[k - len(verts) :]
-        r.bob = dict(zip(verts, b))
-    if state_on:
-        w = rng.standard_normal(r.L.shape) + 1j * rng.standard_normal(r.L.shape)
-        w /= np.linalg.norm(w)
-        L = r.L + spec.delta * w
-        r.L = L / np.linalg.norm(L)
+    a = u[: len(a), None] @ a @ uh[: len(a), None] if alice else a.copy()
+    b = u[-len(b) :] @ b @ uh[-len(b) :] if bob else b.copy()
+    if noise is None:
+        L = L.copy()
+    else:
+        L = L + delta * noise
+        L = L / np.linalg.norm(L)
+    return _standard_strategy(L, a, b)
+
+
+def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
+    """perturb_ideal without its validation, for callers that validate anyway."""
+    return _apply(_draw(spec.seed, spec.mode), spec.delta)
+
+
+def _checked(r: ReflectionStrategy, spec: PerturbationSpec) -> ReflectionStrategy:
+    """r, the strategy of spec, once it passes validation at STRUCTURE_TOL."""
+    report = validate(r, STRUCTURE_TOL)
+    if not report.passed:
+        raise RuntimeError(
+            f"generated strategy failed validation "
+            f"(delta={spec.delta}, seed={spec.seed}, mode={spec.mode}): {report.deviations()}"
+        )
     return r
 
 
@@ -139,14 +178,7 @@ def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     L + delta * W with W Gaussian scaled to unit Frobenius norm.  The result
     always passes validation at STRUCTURE_TOL by construction.
     """
-    r = _perturbed(spec)
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise RuntimeError(
-            f"generated strategy failed validation "
-            f"(delta={spec.delta}, seed={spec.seed}, mode={spec.mode}): {report.deviations()}"
-        )
-    return r
+    return _checked(_perturbed(spec), spec)
 
 
 def random_strategy(seed: int) -> ReflectionStrategy:
@@ -201,21 +233,22 @@ def calibrate_delta(
 ) -> PerturbationSpec:
     """Bisect the perturbation scale until epsilon is within 10% of target.
 
-    The generator draws are tied to `seed`, so the map delta -> epsilon is a
-    fixed smooth function during the search.  Bisection steps only score;
-    the accepted spec is validated once, through perturb_ideal, before it is
+    The generators and state noise of (seed, mode) are drawn once per call,
+    so the map delta -> epsilon is a fixed smooth function during the
+    search, and each bisection step only exponentiates the stored
+    eigendecompositions and scores the result.  The accepted strategy is
+    validated once, with perturb_ideal's check, before its spec is
     returned.  Raises CalibrationError when the target is unreachable on
     [0, 1] or the bracket is not monotone.
     """
     if not 0.0 < target_epsilon <= 0.1:
         raise ValueError(f"target epsilon must lie in (0, 0.1], got {target_epsilon}")
-
-    def epsilon_at(delta: float) -> float:
-        return 1.0 - score(_perturbed(PerturbationSpec(delta, seed, mode)))
+    PerturbationSpec(1.0, seed, mode)  # rejects a bad seed or mode before the draw
+    draw = _draw(seed, mode)
 
     lo, e_lo = 0.0, 0.0
     hi = 1.0
-    e_hi = epsilon_at(hi)
+    e_hi = 1.0 - score(_apply(draw, hi))
     if e_hi < target_epsilon:
         raise CalibrationError(
             f"epsilon({hi}) = {e_hi:.3e} is below the target {target_epsilon:.3e} "
@@ -223,14 +256,15 @@ def calibrate_delta(
         )
     for _ in range(max_iter):
         mid = (lo + hi) / 2
-        e_mid = epsilon_at(mid)
+        r = _apply(draw, mid)
+        e_mid = 1.0 - score(r)
         if e_mid < e_lo - 1e-15 or e_mid > e_hi + 1e-15:
             raise CalibrationError(
                 f"epsilon is not monotone on the bracket [{lo}, {hi}] (mode={mode}, seed={seed})"
             )
         if abs(e_mid - target_epsilon) <= 0.1 * target_epsilon:
             spec = PerturbationSpec(mid, seed, mode)
-            perturb_ideal(spec)
+            _checked(r, spec)
             return spec
         if e_mid < target_epsilon:
             lo, e_lo = mid, e_mid

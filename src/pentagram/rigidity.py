@@ -112,8 +112,10 @@ def _check_reflection(m: np.ndarray) -> None:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"reflections must be square, got {m.shape}")
-    # np.max, unlike max(), keeps a NaN deviation, which then fails
-    dev = np.max([frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n))])
+    # np.max, unlike max(), keeps a NaN deviation, which then fails, so an
+    # overflow needs no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max([frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n))])
     if not dev <= STRUCTURE_TOL:
         raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
 

@@ -28,12 +28,12 @@ the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .game import PentagramGame, ClassicalStrategy, parity_assignments
+from .game import STANDARD_GAME, ClassicalStrategy, PentagramGame, parity_assignments
 from .linalg import (
     ID2,
     PAULI_X,
@@ -81,12 +81,20 @@ IDEAL_OBSERVABLES = {
 
 
 @cache
-def _ideal_matrices() -> dict[int, np.ndarray]:
-    """IDEAL_OBSERVABLES as read-only 8x8 matrices, built on first use."""
+def _ideal_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ideal L, Alice stack and Bob stack, read-only, built on first use.
+
+    Alice's (5, 4, 8, 8) stack runs over STANDARD_GAME's context names and
+    then each context's sorted vertices, Bob's (10, 8, 8) over its vertices.
+    """
     obs = {v: _pauli_string(s) for v, s in IDEAL_OBSERVABLES.items()}
-    for m in obs.values():
+    game = STANDARD_GAME
+    alice = np.array([[obs[v] for v in game.contexts[j]] for j in game.context_names])
+    bob = np.array([obs[v] for v in game.vertices])
+    L = np.eye(8, dtype=complex) / np.sqrt(8.0)
+    for m in (L, alice, bob):
         m.setflags(write=False)
-    return obs
+    return L, alice, bob
 
 
 @dataclass
@@ -96,7 +104,7 @@ class ReflectionStrategy:
     L: np.ndarray
     alice: dict[str, dict[int, np.ndarray]]
     bob: dict[int, np.ndarray]
-    game: PentagramGame = field(default_factory=PentagramGame)
+    game: PentagramGame = STANDARD_GAME
 
     @property
     def dim_a(self) -> int:
@@ -121,7 +129,7 @@ class ProjectiveStrategy:
     dim_b: int
     alice: dict[str, dict[tuple[int, ...], np.ndarray]]
     bob: dict[int, tuple[np.ndarray, np.ndarray]]
-    game: PentagramGame = field(default_factory=PentagramGame)
+    game: PentagramGame = STANDARD_GAME
 
 
 @dataclass
@@ -170,12 +178,18 @@ def ideal_strategy() -> ReflectionStrategy:
     L is I/sqrt(8); both players measure the same per-vertex observable (the
     same matrix is used in every context containing the vertex).
     """
-    game = PentagramGame()
-    obs = _ideal_matrices()
-    alice = {j: {v: obs[v].copy() for v in game.contexts[j]} for j in game.context_names}
-    bob = {v: obs[v].copy() for v in game.vertices}
-    L = np.eye(8, dtype=complex) / np.sqrt(8.0)
-    return ReflectionStrategy(L=L, alice=alice, bob=bob, game=game)
+    L, alice, bob = _ideal_arrays()
+    return _standard_strategy(L.copy(), alice.copy(), bob.copy())
+
+
+def _standard_strategy(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> ReflectionStrategy:
+    """A strategy over STANDARD_GAME from stacks laid out as _ideal_arrays' are."""
+    game = STANDARD_GAME
+    return ReflectionStrategy(
+        L=L,
+        alice={j: dict(zip(game.contexts[j], alice[ji])) for ji, j in enumerate(game.context_names)},
+        bob=dict(zip(game.vertices, bob)),
+    )
 
 
 def _question_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray]:
@@ -209,34 +223,43 @@ def score(r: ReflectionStrategy) -> float:
 _PAIRS_A, _PAIRS_B = np.triu_indices(4, k=1)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
     """Measure the worst deviation from each reflection-strategy axiom.
 
     Each axiom is checked on stacks: Bob's 10 operators, Alice's (5, 4)
     context array and its 30 in-context pairs.  A non-finite deviation
-    fails.
+    fails.  Raises ValueError unless tol is finite and non-negative.
     """
+    _check_tol(tol)
     names = r.game.context_names
     bob = np.array([r.bob[v] for v in r.game.vertices], dtype=complex)
     alice = np.array([[r.alice[j][v] for v in r.game.contexts[j]] for j in names], dtype=complex)
-    herm, invol = [], []
-    for A in (bob, alice):
-        herm.append(_frobenius_norms(A - _dagger(A)).ravel())
-        invol.append(_frobenius_norms(A @ A - np.eye(A.shape[-1])).ravel())
-    a, b = alice[:, _PAIRS_A], alice[:, _PAIRS_B]
-    # subtracted in place: one 30-matrix temporary fewer, which shows in
-    # the peak memory of d = 32 strategies
-    comm = a @ b
-    comm -= b @ a
-    comm = _frobenius_norms(comm)
-    P = np.eye(r.dim_a, dtype=complex)
-    for i in range(alice.shape[1]):
-        P = P @ alice[:, i]
-    labels = np.array([r.game.labels[j] for j in names])[:, None, None]
-    prod = _frobenius_norms(P - labels * np.eye(r.dim_a)) / np.sqrt(r.dim_a)
-    # np.max, unlike max(), keeps a NaN deviation, which then fails
-    devs = [float(np.max(x)) for x in (np.concatenate(herm), np.concatenate(invol), comm, prod)]
-    state = abs(frobenius_norm(r.L) - 1.0)
+    # an overflow shows as an inf or NaN deviation, which fails, so numpy
+    # need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm, invol = [], []
+        for A in (bob, alice):
+            herm.append(_frobenius_norms(A - _dagger(A)).ravel())
+            invol.append(_frobenius_norms(A @ A - np.eye(A.shape[-1])).ravel())
+        a, b = alice[:, _PAIRS_A], alice[:, _PAIRS_B]
+        # subtracted in place: one 30-matrix temporary fewer, which shows in
+        # the peak memory of d = 32 strategies
+        comm = a @ b
+        comm -= b @ a
+        comm = _frobenius_norms(comm)
+        P = np.eye(r.dim_a, dtype=complex)
+        for i in range(alice.shape[1]):
+            P = P @ alice[:, i]
+        labels = np.array([r.game.labels[j] for j in names])[:, None, None]
+        prod = _frobenius_norms(P - labels * np.eye(r.dim_a)) / np.sqrt(r.dim_a)
+        # np.max, unlike max(), keeps a NaN deviation, which then fails
+        devs = [float(np.max(x)) for x in (np.concatenate(herm), np.concatenate(invol), comm, prod)]
+        state = abs(frobenius_norm(r.L) - 1.0)
     passed = all(d <= tol for d in (*devs, state))
     return ValidationReport(*devs, state, tol, passed)
 
@@ -281,22 +304,26 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
     """Raise InvalidStrategyError when a projective axiom deviates beyond tol.
 
     The deviation is the worst of Hermiticity, idempotence and completeness
-    of every measurement, and | ||psi|| - 1 |.
+    of every measurement, and | ||psi|| - 1 |.  Raises ValueError unless tol
+    is finite and non-negative.
     """
+    _check_tol(tol)
     devs = []
-    for j in p.game.context_names:
-        total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
-        for M in p.alice[j].values():
-            M = as_matrix(M)
-            devs += [frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M)]
-            total += M
-        devs.append(frobenius_norm(total - np.eye(p.dim_a)))
-    for N0, N1 in p.bob.values():
-        for N in (N0, N1):
-            N = as_matrix(N)
-            devs += [frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N)]
-        devs.append(frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
-    devs.append(abs(float(np.linalg.norm(p.psi)) - 1.0))
+    # an overflow shows as an inf or NaN deviation, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in p.game.context_names:
+            total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
+            for M in p.alice[j].values():
+                M = as_matrix(M)
+                devs += [frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M)]
+                total += M
+            devs.append(frobenius_norm(total - np.eye(p.dim_a)))
+        for N0, N1 in p.bob.values():
+            for N in (N0, N1):
+                N = as_matrix(N)
+                devs += [frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N)]
+            devs.append(frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
+        devs.append(abs(float(np.linalg.norm(p.psi)) - 1.0))
     # np.max, unlike max(), keeps a NaN deviation, which then fails
     dev = np.max(devs)
     if not dev <= tol:
@@ -368,7 +395,7 @@ def classical_embedding(
     Signs become 1x1 reflections and L = [[1]]; the quantum score then equals
     the classical winning probability exactly.
     """
-    game = game or PentagramGame()
+    game = game or STANDARD_GAME
     alice = {
         j: {v: np.array([[strategy.alice[j][v]]], dtype=complex) for v in game.contexts[j]}
         for j in game.context_names
@@ -447,7 +474,7 @@ def strategy_from_json(obj: dict, game: PentagramGame | None = None):
     and every matrix shape must match dim_a/dim_b; a violation raises a
     ValueError naming the field.
     """
-    game = game or PentagramGame()
+    game = game or STANDARD_GAME
     if not isinstance(obj, dict):
         raise ValueError(f"a strategy must be an object, got {type(obj).__name__}")
     if "L" in obj and "R" in obj:

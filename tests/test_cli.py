@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,15 +183,19 @@ class TestExitCodes:
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(obj))
 
-        code, out, _ = run(capsys, "validate", "--in", str(broken))
-        assert code == 2
-        assert "involution nan" in out.splitlines()
-        assert out.splitlines()[-1] == "FAIL"
-        for argv in (["score"], ["certify", "--out", str(tmp_path / "report.json")]):
-            code, out, err = run(capsys, *argv, "--in", str(broken))
-            assert (code, out) == (2, "")
-            assert "involution nan" in err
+        # a warning raised in process is what the command prints on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "validate", "--in", str(broken))
+            assert code == 2
+            assert "involution nan" in out.splitlines()
+            assert out.splitlines()[-1] == "FAIL"
+            for argv in (["score"], ["certify", "--out", str(tmp_path / "report.json")]):
+                code, out, err = run(capsys, *argv, "--in", str(broken))
+                assert (code, out) == (2, "")
+                assert "involution nan" in err
         assert not (tmp_path / "report.json").exists()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("factor", [0.0, 2.0])
     def test_score_rejects_unnormalized_state(self, capsys, tmp_path, factor):
@@ -268,14 +273,24 @@ class TestExitCodes:
             (["scaling-study", "--deltas", "0.01", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["perturb", "--delta", "0.01", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["scaling-study", "--deltas", "0.01,2", "--samples", "30", "--seed", "1"], "deltas must lie in (0, 1], got 2.0"),
+            (["validate", "--tol", "nan"], "tol must be finite and non-negative, got nan"),
+            (["validate", "--tol", "-1"], "tol must be finite and non-negative, got -1.0"),
         ],
-        ids=["study-samples", "study-seed", "perturb-seed", "study-delta-above-one"],
+        ids=["study-samples", "study-seed", "perturb-seed", "study-delta-above-one", "validate-tol-nan", "validate-tol-negative"],
     )
     def test_negative_counts_and_seeds(self, capsys, tmp_path, argv, message):
         outputs = [tmp_path / "out.csv", tmp_path / "fit.json"]
         extra = ["--out", str(outputs[0])]
         if argv[0] == "scaling-study":
             extra += ["--summary", str(outputs[1])]
+        if argv[0] == "validate":
+            # the ideal strategy, in both formats: only the tolerance is wrong
+            ideal = tmp_path / "ideal.json"
+            for fmt in ("reflection", "projective"):
+                run(capsys, "export-ideal", "--out", str(ideal), "--format", fmt)
+                code, out, err = run(capsys, *argv, "--in", str(ideal))
+                assert (code, out, err) == (1, "", f"error: {message}\n")
+            return
         code, out, err = run(capsys, *argv, *extra)
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not any(path.exists() for path in outputs)

@@ -214,6 +214,24 @@ class TestAgainstNestedLoops:
         assert _assert_same_witness(game) == expected
 
 
+class TestTables:
+    """The tables built with a game against a fresh sorted recomputation."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(relabelled_games())
+    def test_relabelled_games(self, drawn):
+        game, _ = drawn
+        names = tuple(sorted(game.contexts))
+        verts = tuple(sorted({v for vs in game.contexts.values() for v in vs}))
+        assert game.context_names == names
+        assert game.vertices == verts
+        assert game.questions() == [(j, v) for j in names for v in sorted(game.contexts[j])]
+        for v in verts:
+            assert game.contexts_of(v) == tuple(j for j in names if v in game.contexts[j])
+        with pytest.raises(ValueError, match="unknown vertex"):
+            game.contexts_of(max(verts) + 1)
+
+
 class TestSerialization:
     def test_export_format(self, game):
         obj = game.to_json()

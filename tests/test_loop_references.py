@@ -17,6 +17,8 @@ from pentagram.linalg import STRUCTURE_TOL, as_matrix, frobenius_norm
 from pentagram.optimize import (
     MODES,
     PerturbationSpec,
+    _apply,
+    _draw,
     _perturbed,
     bob_best_response,
     random_strategy,
@@ -178,16 +180,22 @@ budget = settings(
 )
 
 
-@pytest.mark.parametrize("delta", [0.0, 1e-4, 0.3, 1.0])
+DELTAS = (0.0, 1e-4, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("mode", MODES)
 def test_perturbed_matches_loops(mode, delta):
     @budget
     @given(seeds)
     @example(2)  # with (0.3, context-unitaries), an array ** 2 of its norms moves a term's last bit
     def check(seed):
-        spec = PerturbationSpec(delta, seed, mode)
-        r = _perturbed(spec)
-        assert_same_strategy(r, ref_perturbed(spec))
+        # one draw serves every scale, as in calibrate_delta's bisection
+        draw = _draw(seed, mode)
+        for d in DELTAS:
+            assert_same_strategy(_apply(draw, d), ref_perturbed(PerturbationSpec(d, seed, mode)))
+        r = _perturbed(PerturbationSpec(delta, seed, mode))
+        assert_same_strategy(r, _apply(draw, delta))
         assert_kernels_match(r)
 
     check()

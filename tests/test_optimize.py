@@ -139,6 +139,34 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_delta(1e-4, seed=3, max_iter=1)
 
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "state-noise"])
+    def test_draws_generators_once(self, monkeypatch, mode):
+        # every bisection step reuses the one draw of (seed, mode)
+        calls = []
+
+        def counting(rng, dim, count):
+            calls.append(count)
+            return random_hermitian(rng, dim, count)
+
+        monkeypatch.setattr(optimize, "random_hermitian", counting)
+        for seed in (3, 104):
+            calls.clear()
+            calibrate_delta(1e-3, mode=mode, seed=seed)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"mode": "alice-unitaries"}, "unknown mode 'alice-unitaries'"),
+        ],
+        ids=["seed", "mode"],
+    )
+    def test_bad_seed_or_mode_rejected_before_any_draw(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(optimize, "_draw", None)
+        with pytest.raises(ValueError, match=message):
+            calibrate_delta(1e-3, **kwargs)
+
 
 class TestScalingStudy:
     def test_rows_and_fit(self):
