@@ -32,7 +32,6 @@ from .rigidity import (
     LocalIsometry,
     RigidityReport,
     StateExtraction,
-    StrategyValidationError,
     alice_isometry,
     bob_isometry,
     build_isometry,
@@ -48,6 +47,7 @@ from .strategies import (
     InvalidStrategyError,
     ProjectiveStrategy,
     ReflectionStrategy,
+    StrategyValidationError,
     ValidationReport,
     classical_embedding,
     ideal_strategy,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .game import STANDARD_GAME, classical_value
 from .linalg import STRUCTURE_TOL, dump_json
-from .optimize import PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
-from .rigidity import StrategyValidationError, certify, report_to_json
+from .optimize import MODES, PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
+from .rigidity import certify, report_to_json
 from .strategies import (
     InvalidStrategyError,
     ProjectiveStrategy,
@@ -26,6 +26,7 @@ from .strategies import (
     losing_terms,
     projective_to_json,
     reflection_to_json,
+    require_valid,
     score,
     strategy_from_json,
     to_projective,
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _write_strategy(r, path: str, fmt: str) -> None:
@@ -70,9 +74,7 @@ def _cmd_value(args) -> int:
 
 def _cmd_score(args) -> int:
     r = load_reflection(_read_json(args.infile))
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise StrategyValidationError(report)
+    require_valid(r)
     print(f"{score(r):.12f}")
     for (j, v), term in losing_terms(r).items():
         print(f"{j} {v} {term:.12f}")
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("context-unitaries", "bob-unitaries", "state-noise", "combined"), default="combined")
+    p.add_argument("--mode", choices=MODES, default="combined")
     p.add_argument("--format", choices=("reflection", "projective"), default="reflection")
     p.set_defaults(func=_cmd_perturb)
 
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV of per-sample rows")
     p.add_argument("--summary", required=True, help="JSON fit summary")
-    p.add_argument("--mode", choices=("context-unitaries", "bob-unitaries", "state-noise", "combined"), default="combined")
+    p.add_argument("--mode", choices=MODES, default="combined")
     p.set_defaults(func=_cmd_scaling_study)
 
     return parser

@@ -14,16 +14,18 @@ assignment violates an odd number of contexts.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from types import MappingProxyType
 
 import numpy as np
 
 CONTEXT_ORDER = ("C", "D", "E", "F", "G")
 
-# Vertex incidence of the pentagram.  Relabelings give isomorphic games; pass
-# custom tables to PentagramGame to override.
+# Vertex incidence of the pentagram.  Relabelled games serve the classical
+# analysis; strategies are over STANDARD_GAME only.
 STANDARD_CONTEXTS = {
     "C": (2, 5, 7, 10),
     "D": (1, 8, 9, 10),
@@ -38,14 +40,12 @@ STANDARD_LABELS = {"C": 1, "D": 1, "E": 1, "F": 1, "G": -1}
 class PentagramGame:
     """Hypergraph of the game: context sets plus their parity labels.
 
-    The name, vertex, question and vertex-to-context tables are built once,
-    when the game is constructed.
+    contexts and labels are read-only mappings, so the name, vertex, question
+    and vertex-to-context tables built with the game cannot go stale.
     """
 
-    contexts: dict[str, tuple[int, ...]] = field(
-        default_factory=lambda: dict(STANDARD_CONTEXTS)
-    )
-    labels: dict[str, int] = field(default_factory=lambda: dict(STANDARD_LABELS))
+    contexts: Mapping[str, tuple[int, ...]] = field(default_factory=lambda: dict(STANDARD_CONTEXTS))
+    labels: Mapping[str, int] = field(default_factory=lambda: dict(STANDARD_LABELS))
     context_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _questions: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
@@ -57,7 +57,8 @@ class PentagramGame:
         if len(self.contexts) != 5:
             raise ValueError(f"expected 5 contexts, got {len(self.contexts)}")
         norm = {j: tuple(sorted(int(v) for v in vs)) for j, vs in self.contexts.items()}
-        object.__setattr__(self, "contexts", norm)
+        object.__setattr__(self, "contexts", MappingProxyType(norm))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         for j, vs in norm.items():
             if len(set(vs)) != 4:
                 raise ValueError(f"context {j} must contain 4 distinct vertices")
@@ -67,6 +68,9 @@ class PentagramGame:
                 counts[v] = counts.get(v, 0) + 1
         if any(c != 2 for c in counts.values()):
             raise ValueError("every vertex must appear in exactly 2 contexts")
+        for j, k in combinations(sorted(norm), 2):
+            if len(set(norm[j]) & set(norm[k])) != 1:
+                raise ValueError(f"contexts {j} and {k} must share exactly one vertex")
         if any(l not in (-1, 1) for l in self.labels.values()):
             raise ValueError("labels must be +1 or -1")
         names = tuple(sorted(norm))
@@ -77,6 +81,10 @@ class PentagramGame:
         object.__setattr__(
             self, "_contexts_of", {v: tuple(j for j in names if v in norm[j]) for v in verts}
         )
+
+    def __reduce__(self):
+        # the read-only mappings do not pickle; rebuild from plain dicts
+        return type(self), (dict(self.contexts), dict(self.labels))
 
     def contexts_of(self, v: int) -> tuple[str, ...]:
         """The two contexts containing vertex v, in name order."""
@@ -101,21 +109,8 @@ class PentagramGame:
     def non_neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(w for w in self.vertices if w != v and not self.adjacent(v, w))
 
-    def to_json(self) -> dict:
-        return {
-            "contexts": {j: list(self.contexts[j]) for j in self.context_names},
-            "labels": {j: int(self.labels[j]) for j in self.context_names},
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PentagramGame":
-        return cls(
-            contexts={j: tuple(vs) for j, vs in obj["contexts"].items()},
-            labels={j: int(l) for j, l in obj["labels"].items()},
-        )
-
-
-# The one standard game that strategies and the ideal strategy share.
+# The one game of every strategy, the ideal strategy included.
 STANDARD_GAME = PentagramGame()
 
 

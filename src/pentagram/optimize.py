@@ -31,15 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STRUCTURE_TOL, _dagger, _exp_i_eigen, hermitian_eigendecomposition
+from .linalg import _dagger, _exp_i_eigen, hermitian_eigendecomposition
 from .rigidity import _core
 from .strategies import (
     ReflectionStrategy,
     _ideal_arrays,
     _standard_strategy,
     ideal_strategy,
+    require_valid,
     score,
-    validate,
 )
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
@@ -158,17 +158,6 @@ def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
     return _apply(_draw(spec.seed, spec.mode), spec.delta)
 
 
-def _checked(r: ReflectionStrategy, spec: PerturbationSpec) -> ReflectionStrategy:
-    """r, the strategy of spec, once it passes validation at STRUCTURE_TOL."""
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise RuntimeError(
-            f"generated strategy failed validation "
-            f"(delta={spec.delta}, seed={spec.seed}, mode={spec.mode}): {report.deviations()}"
-        )
-    return r
-
-
 def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     """Conjugation-perturbed copy of the ideal strategy.
 
@@ -176,9 +165,11 @@ def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     then one per Bob vertex (ascending), then the state noise matrix; modes
     draw only what they use.  State noise replaces L by the normalization of
     L + delta * W with W Gaussian scaled to unit Frobenius norm.  The result
-    always passes validation at STRUCTURE_TOL by construction.
+    passes validation at STRUCTURE_TOL by construction and is checked anyway.
     """
-    return _checked(_perturbed(spec), spec)
+    r = _perturbed(spec)
+    require_valid(r)
+    return r
 
 
 def random_strategy(seed: int) -> ReflectionStrategy:
@@ -222,7 +213,7 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     signs = np.where(vals >= 0.0, 1.0, -1.0)
     new_bob = dict(zip(verts, (vecs * signs[:, None, :]) @ _dagger(vecs)))
     alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
-    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob, game=r.game)
+    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob)
 
 
 def calibrate_delta(
@@ -237,9 +228,9 @@ def calibrate_delta(
     so the map delta -> epsilon is a fixed smooth function during the
     search, and each bisection step only exponentiates the stored
     eigendecompositions and scores the result.  The accepted strategy is
-    validated once, with perturb_ideal's check, before its spec is
-    returned.  Raises CalibrationError when the target is unreachable on
-    [0, 1] or the bracket is not monotone.
+    validated once, by require_valid, before its spec is returned.  Raises
+    CalibrationError when the target is unreachable on [0, 1] or the
+    bracket is not monotone.
     """
     if not 0.0 < target_epsilon <= 0.1:
         raise ValueError(f"target epsilon must lie in (0, 0.1], got {target_epsilon}")
@@ -263,9 +254,8 @@ def calibrate_delta(
                 f"epsilon is not monotone on the bracket [{lo}, {hi}] (mode={mode}, seed={seed})"
             )
         if abs(e_mid - target_epsilon) <= 0.1 * target_epsilon:
-            spec = PerturbationSpec(mid, seed, mode)
-            _checked(r, spec)
-            return spec
+            require_valid(r)
+            return PerturbationSpec(mid, seed, mode)
         if e_mid < target_epsilon:
             lo, e_lo = mid, e_mid
         else:

@@ -40,27 +40,16 @@ from .linalg import (
 )
 from .strategies import (
     DistinguishedReflections,
-    InvalidStrategyError,
     ReflectionStrategy,
+    StrategyValidationError,  # raised by certify, so importable from here too
     ValidationReport,
     _question_stacks,
     losing_terms,
+    require_valid,
     select_distinguished,
-    validate,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
-
-
-class StrategyValidationError(InvalidStrategyError):
-    """Raised when a certificate is requested for an invalid strategy."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        failing = ", ".join(
-            f"{name} {dev:.3e}" for name, dev in report.deviations().items() if not dev <= report.tol
-        )
-        super().__init__(f"strategy failed validation at tol={report.tol}: {failing}")
 
 
 @dataclass
@@ -385,9 +374,7 @@ class _Core:
 
 def _core(r: ReflectionStrategy) -> _Core:
     """Validate at STRUCTURE_TOL, then measure epsilon, consistency, operators and state."""
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise StrategyValidationError(report)
+    report = require_valid(r)
     terms = losing_terms(r)
     images = _images(r)
     return _Core(

@@ -1,5 +1,8 @@
 """Quantum strategies for the pentagram game in two equivalent forms.
 
+Every strategy is over game.STANDARD_GAME, whose incidence the tables below
+assume; relabelled games serve only the classical analysis in game.py.
+
 A *reflection strategy* is the algebraic form used everywhere downstream: a
 coefficient matrix L (the shared state written as a map from Bob's space to
 Alice's, with unit Frobenius norm), one reflection R[j][v] per context j and
@@ -104,7 +107,10 @@ class ReflectionStrategy:
     L: np.ndarray
     alice: dict[str, dict[int, np.ndarray]]
     bob: dict[int, np.ndarray]
-    game: PentagramGame = STANDARD_GAME
+
+    @property
+    def game(self) -> PentagramGame:
+        return STANDARD_GAME
 
     @property
     def dim_a(self) -> int:
@@ -129,7 +135,10 @@ class ProjectiveStrategy:
     dim_b: int
     alice: dict[str, dict[tuple[int, ...], np.ndarray]]
     bob: dict[int, tuple[np.ndarray, np.ndarray]]
-    game: PentagramGame = STANDARD_GAME
+
+    @property
+    def game(self) -> PentagramGame:
+        return STANDARD_GAME
 
 
 @dataclass
@@ -163,6 +172,17 @@ class InvalidStrategyError(ValueError):
     """A strategy that breaks its axioms beyond STRUCTURE_TOL."""
 
 
+class StrategyValidationError(InvalidStrategyError):
+    """A reflection strategy that fails validate at STRUCTURE_TOL."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        failing = ", ".join(
+            f"{name} {dev:.3e}" for name, dev in report.deviations().items() if not dev <= report.tol
+        )
+        super().__init__(f"strategy failed validation at tol={report.tol}: {failing}")
+
+
 @dataclass
 class DistinguishedReflections:
     """One reflection per vertex plus the twelve simulated Pauli operators."""
@@ -183,7 +203,7 @@ def ideal_strategy() -> ReflectionStrategy:
 
 
 def _standard_strategy(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> ReflectionStrategy:
-    """A strategy over STANDARD_GAME from stacks laid out as _ideal_arrays' are."""
+    """A strategy from stacks laid out as _ideal_arrays' are."""
     game = STANDARD_GAME
     return ReflectionStrategy(
         L=L,
@@ -264,6 +284,14 @@ def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
     return ValidationReport(*devs, state, tol, passed)
 
 
+def require_valid(r: ReflectionStrategy) -> ValidationReport:
+    """validate(r, STRUCTURE_TOL), raising StrategyValidationError unless it passes."""
+    report = validate(r, STRUCTURE_TOL)
+    if not report.passed:
+        raise StrategyValidationError(report)
+    return report
+
+
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     """Convert a reflection strategy to its projective form.
 
@@ -271,12 +299,10 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     vertices of (I + (-1)**t(v) R[j][v])/2; the product is well defined
     because the factors commute, and it vanishes unless the parity of t
     matches the context label.  Bob's projectors split S[v] into its +-1
-    eigenspaces, and psi flattens L.  Raises InvalidStrategyError unless r
+    eigenspaces, and psi flattens L.  Raises StrategyValidationError unless r
     validates at STRUCTURE_TOL.
     """
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise InvalidStrategyError(f"invalid reflection strategy: {report.deviations()}")
+    require_valid(r)
     da, db = r.dim_a, r.dim_b
     alice: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
     for j in r.game.context_names:
@@ -297,7 +323,7 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
         for v in r.game.vertices
     }
     psi = np.asarray(r.L, dtype=complex).ravel().copy()
-    return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob, game=r.game)
+    return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
 
 
 def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
@@ -357,7 +383,7 @@ def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
         alice[j] = refl
     bob = {v: p.bob[v][0] - p.bob[v][1] for v in p.game.vertices}
     L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
-    return ReflectionStrategy(L=L, alice=alice, bob=bob, game=p.game)
+    return ReflectionStrategy(L=L, alice=alice, bob=bob)
 
 
 def score_projective(p: ProjectiveStrategy) -> float:
@@ -387,21 +413,19 @@ def select_distinguished(r: ReflectionStrategy) -> DistinguishedReflections:
     return DistinguishedReflections(r=dist, x_prime=x_prime, z_prime=z_prime)
 
 
-def classical_embedding(
-    strategy: ClassicalStrategy, game: PentagramGame | None = None
-) -> ReflectionStrategy:
-    """Embed a deterministic strategy as a 1x1 reflection strategy.
+def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
+    """Embed a deterministic strategy for STANDARD_GAME as a 1x1 reflection strategy.
 
     Signs become 1x1 reflections and L = [[1]]; the quantum score then equals
     the classical winning probability exactly.
     """
-    game = game or STANDARD_GAME
+    game = STANDARD_GAME
     alice = {
         j: {v: np.array([[strategy.alice[j][v]]], dtype=complex) for v in game.contexts[j]}
         for j in game.context_names
     }
     bob = {v: np.array([[strategy.bob[v]]], dtype=complex) for v in game.vertices}
-    return ReflectionStrategy(L=np.eye(1, dtype=complex), alice=alice, bob=bob, game=game)
+    return ReflectionStrategy(L=np.eye(1, dtype=complex), alice=alice, bob=bob)
 
 
 def reflection_to_json(r: ReflectionStrategy) -> dict:
@@ -467,14 +491,14 @@ def _dims(obj) -> tuple[int, int]:
     return obj["dim_a"], obj["dim_b"]
 
 
-def strategy_from_json(obj: dict, game: PentagramGame | None = None):
+def strategy_from_json(obj: dict):
     """Decode either strategy format, detected by its keys.
 
-    Key sets must match the game's contexts, vertices and outcomes exactly,
-    and every matrix shape must match dim_a/dim_b; a violation raises a
-    ValueError naming the field.
+    Key sets must match STANDARD_GAME's contexts, vertices and outcomes
+    exactly, and every matrix shape must match dim_a/dim_b; a violation
+    raises a ValueError naming the field.
     """
-    game = game or STANDARD_GAME
+    game = STANDARD_GAME
     if not isinstance(obj, dict):
         raise ValueError(f"a strategy must be an object, got {type(obj).__name__}")
     if "L" in obj and "R" in obj:
@@ -487,7 +511,7 @@ def strategy_from_json(obj: dict, game: PentagramGame | None = None):
             ctx = _section(R[j], f"R.{j}", game.contexts[j])
             alice[j] = {v: _decode(ctx[str(v)], f"R.{j}.{v}", (da, da)) for v in game.contexts[j]}
         bob = {v: _decode(S[str(v)], f"S.{v}", (db, db)) for v in game.vertices}
-        return ReflectionStrategy(L=L, alice=alice, bob=bob, game=game)
+        return ReflectionStrategy(L=L, alice=alice, bob=bob)
     if "psi" in obj and "M" in obj:
         da, db = _dims(obj)
         psi = _decode(obj["psi"], "psi", (da * db, 1)).ravel()
@@ -503,13 +527,13 @@ def strategy_from_json(obj: dict, game: PentagramGame | None = None):
         for v in game.vertices:
             pair = _section(N[str(v)], f"N.{v}", "01")
             bob[v] = tuple(_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01")
-        return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob, game=game)
+        return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
     raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")
 
 
-def load_reflection(obj: dict, game: PentagramGame | None = None) -> ReflectionStrategy:
+def load_reflection(obj: dict) -> ReflectionStrategy:
     """Decode a strategy file and convert to reflection form if needed."""
-    s = strategy_from_json(obj, game)
+    s = strategy_from_json(obj)
     if isinstance(s, ProjectiveStrategy):
         return to_reflection(s)
     return s

@@ -175,6 +175,18 @@ class TestExitCodes:
         report = tmp_path / "report.json"
         assert run(capsys, "certify", "--in", str(broken), "--out", str(report))[0] == 2
 
+        code, out, err = run(capsys, "score", "--in", str(broken))
+        assert (code, out) == (2, "")
+        assert err == "validation failure: strategy failed validation at tol=1e-10: involution 2.121e+00\n"
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["score"], ["validate"], ["certify", "--out", str(tmp_path / "report.json")]):
+            code, out, err = run(capsys, *argv, "--in", str(deep))
+            assert (code, out) == (1, "")
+            assert err == f"error: {deep}: JSON nested too deeply to decode\n"
+
     def test_non_finite_deviation_fails(self, capsys, tmp_path):
         # S[1] is symmetric and finite, but S[1] @ S[1] overflows to NaN
         obj = reflection_to_json(ideal_strategy())

@@ -134,7 +134,7 @@ def ref_bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
         signs = np.where(vals >= 0.0, 1.0, -1.0)
         new_bob[v] = (vecs * signs) @ vecs.conj().T
     alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
-    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob, game=r.game)
+    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob)
 
 
 def ref_consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:

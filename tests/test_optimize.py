@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pentagram import optimize, rigidity
+from pentagram import optimize, rigidity, strategies
 from pentagram.optimize import (
     MODES,
     CalibrationError,
@@ -205,8 +205,7 @@ class TestScalingStudy:
             calls.append(tol)
             return validate(r, tol)
 
-        monkeypatch.setattr(optimize, "validate", counting)
-        monkeypatch.setattr(rigidity, "validate", counting)
+        monkeypatch.setattr(strategies, "validate", counting)
         rows, _ = scaling_study([1e-3, 1e-2], 2, seed=4)
         assert len(calls) == len(rows) == 4
 
@@ -270,7 +269,7 @@ def test_calibrate_delta_validates_once(monkeypatch):
         calls.append(tol)
         return validate(r, tol)
 
-    monkeypatch.setattr(optimize, "validate", counting)
+    monkeypatch.setattr(strategies, "validate", counting)
     spec = calibrate_delta(1e-3, seed=3)
     assert len(calls) == 1
     calls.clear()

@@ -3,15 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from pentagram.game import PentagramGame, best_classical_strategy, parity_assignments
+from pentagram import strategies
+from pentagram.game import STANDARD_GAME, PentagramGame, best_classical_strategy, parity_assignments
 from pentagram.linalg import PAULI_X, PAULI_Z, frobenius_norm, kron_all
-from pentagram.optimize import PerturbationSpec, perturb_ideal, random_strategy
+from pentagram.optimize import PerturbationSpec, calibrate_delta, perturb_ideal, random_strategy
+from pentagram.rigidity import certify
 from pentagram.strategies import (
     IDEAL_OBSERVABLES,
     X_PRIME_VERTEX,
     Z_PRIME_VERTEX,
+    ReflectionStrategy,
+    StrategyValidationError,
     classical_embedding,
     ideal_strategy,
+    load_reflection,
     losing_terms,
     projective_to_json,
     reflection_to_json,
@@ -78,7 +83,7 @@ class TestIdealStrategy:
 class TestScore:
     def test_classical_witness_embedding(self, game):
         witness, value = best_classical_strategy(game)
-        r = classical_embedding(witness, game)
+        r = classical_embedding(witness)
         assert validate(r, 1e-12).passed
         assert abs(score(r) - float(value)) <= 1e-12
 
@@ -322,3 +327,63 @@ class TestSerialization:
             1: "ZZZ", 2: "ZXX", 3: "XXZ", 4: "XZX", 5: "IXI",
             6: "XII", 7: "IIX", 8: "IIZ", 9: "IZI", 10: "ZII",
         }
+
+
+class TestStandardGame:
+    """Every strategy is over STANDARD_GAME; none takes a game."""
+
+    def test_game_is_not_settable(self, ideal):
+        witness, _ = best_classical_strategy(STANDARD_GAME)
+        obj = reflection_to_json(ideal)
+        with pytest.raises(TypeError):
+            ReflectionStrategy(L=ideal.L, alice=ideal.alice, bob=ideal.bob, game=STANDARD_GAME)
+        with pytest.raises(TypeError):
+            strategy_from_json(obj, game=STANDARD_GAME)
+        with pytest.raises(TypeError):
+            load_reflection(obj, game=STANDARD_GAME)
+        with pytest.raises(TypeError):
+            classical_embedding(witness, game=STANDARD_GAME)
+
+    def test_every_strategy_shares_the_standard_game(self, ideal):
+        witness, _ = best_classical_strategy(STANDARD_GAME)
+        p = to_projective(ideal)
+        built = [
+            ideal,
+            p,
+            to_reflection(p),
+            load_reflection(json.loads(json.dumps(projective_to_json(p)))),
+            load_reflection(json.loads(json.dumps(reflection_to_json(ideal)))),
+            perturb_ideal(PerturbationSpec(0.02, 9)),
+            classical_embedding(witness),
+        ]
+        assert all(s.game is STANDARD_GAME for s in built)
+
+    def test_classical_embedding_certifies(self):
+        # the 1x1 path that failed with a KeyError over relabelled games
+        report = certify(classical_embedding(best_classical_strategy(STANDARD_GAME)[0]))
+        assert report.epsilon == pytest.approx(0.05, abs=1e-15)
+
+
+class TestValidationGate:
+    """One check at STRUCTURE_TOL, one error, for every caller that refuses."""
+
+    def test_halved_reflection_refused_alike(self, ideal):
+        ideal.bob[1] = 0.5 * ideal.bob[1]
+        messages = set()
+        for refuse in (to_projective, certify):
+            with pytest.raises(StrategyValidationError) as caught:
+                refuse(ideal)
+            messages.add(str(caught.value))
+        assert messages == {"strategy failed validation at tol=1e-10: involution 2.121e+00"}
+
+    def test_generated_strategies_go_through_the_gate(self, monkeypatch):
+        def failing(r, tol):
+            report = validate(r, tol)
+            report.involution, report.passed = 1.0, False
+            return report
+
+        monkeypatch.setattr(strategies, "validate", failing)
+        with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
+            perturb_ideal(PerturbationSpec(0.01, 5))
+        with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
+            calibrate_delta(1e-3, seed=3)
