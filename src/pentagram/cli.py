@@ -49,6 +49,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_strategy(r, path: str, fmt: str) -> None:

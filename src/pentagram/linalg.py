@@ -139,9 +139,12 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix_to_json format."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from None
+    for name, n in (("rows", rows), ("cols", cols)):
+        if type(n) is not int:
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if not isinstance(data, list):
         raise ValueError(f"data must be a list, got {type(data).__name__}")
     if rows <= 0 or cols <= 0:

@@ -14,10 +14,11 @@ state noise.  Applying it at a scale delta only exponentiates the stored
 eigendecompositions and conjugates.  A calibration draws once and applies
 that draw at every bisection step; no draw outlives the call.
 
-A sweep row validates its strategy once and measures only the families its
-CSV reports (epsilon, consistency, operator and state residuals) through
-rigidity's certificate core; certify adds the context-change, pair and
-change-word families that a row would throw away.
+A sweep draws each row from its own child seed, then validates each row once
+and measures only the families its CSV reports (epsilon, consistency,
+operator and state residuals) in one stacked pass of rigidity's certificate
+core per chunk of rows; certify adds the context-change, pair and
+change-word families.
 
 Randomness policy: all draws come from numpy's default PCG64 generator.  A
 sweep derives one child seed per (sweep seed, delta index, sample index) via
@@ -36,10 +37,10 @@ from .rigidity import _core
 from .strategies import (
     ReflectionStrategy,
     _ideal_arrays,
+    _scores,
     _standard_strategy,
     ideal_strategy,
     require_valid,
-    score,
 )
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
@@ -134,12 +135,12 @@ def _draw(seed: int, mode: str):
     return alice, bob, w, v, noise
 
 
-def _apply(draw, delta: float) -> ReflectionStrategy:
-    """The ideal strategy perturbed by a _draw at scale delta (the ideal at 0)."""
-    if delta == 0.0:
-        return ideal_strategy()
-    alice, bob, w, v, noise = draw
+def _apply(draw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ideal stacks (L, Alice, Bob) perturbed by a _draw at scale delta (the ideal at 0)."""
     L, a, b = _ideal_arrays()
+    if delta == 0.0:
+        return L.copy(), a.copy(), b.copy()
+    alice, bob, w, v, noise = draw
     if v is not None:
         u = _exp_i_eigen(w, v, delta)
         uh = _dagger(u)
@@ -150,12 +151,12 @@ def _apply(draw, delta: float) -> ReflectionStrategy:
     else:
         L = L + delta * noise
         L = L / np.linalg.norm(L)
-    return _standard_strategy(L, a, b)
+    return L, a, b
 
 
 def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
     """perturb_ideal without its validation, for callers that validate anyway."""
-    return _apply(_draw(spec.seed, spec.mode), spec.delta)
+    return _standard_strategy(*_apply(_draw(spec.seed, spec.mode), spec.delta))
 
 
 def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
@@ -239,7 +240,7 @@ def calibrate_delta(
 
     lo, e_lo = 0.0, 0.0
     hi = 1.0
-    e_hi = 1.0 - score(_apply(draw, hi))
+    e_hi = 1.0 - _scores(*(x[None] for x in _apply(draw, hi)))[0]
     if e_hi < target_epsilon:
         raise CalibrationError(
             f"epsilon({hi}) = {e_hi:.3e} is below the target {target_epsilon:.3e} "
@@ -247,14 +248,14 @@ def calibrate_delta(
         )
     for _ in range(max_iter):
         mid = (lo + hi) / 2
-        r = _apply(draw, mid)
-        e_mid = 1.0 - score(r)
+        stacks = _apply(draw, mid)
+        e_mid = 1.0 - _scores(*(x[None] for x in stacks))[0]
         if e_mid < e_lo - 1e-15 or e_mid > e_hi + 1e-15:
             raise CalibrationError(
                 f"epsilon is not monotone on the bracket [{lo}, {hi}] (mode={mode}, seed={seed})"
             )
         if abs(e_mid - target_epsilon) <= 0.1 * target_epsilon:
-            require_valid(r)
+            require_valid(_standard_strategy(*stacks))
             return PerturbationSpec(mid, seed, mode)
         if e_mid < target_epsilon:
             lo, e_lo = mid, e_mid
@@ -267,23 +268,22 @@ def _child_seed(seed: int, delta_index: int, sample_index: int) -> int:
     return int(np.random.SeedSequence([seed, delta_index, sample_index]).generate_state(1)[0])
 
 
-def _study_row(delta: float, child_seed: int, mode: str) -> ScalingRow:
-    # _core validates, so the strategy is checked once
-    core = _core(_perturbed(PerturbationSpec(delta, child_seed, mode)))
-    eps = core.epsilon
-    sqrt_eps = float(np.sqrt(eps)) if eps > 0 else 0.0
-    state = core.extraction.state_residual
-    max_op = max(core.op_residuals.values())
-    return ScalingRow(
-        delta=float(delta),
-        seed=int(child_seed),
-        epsilon=float(eps),
-        state_residual=float(state),
-        max_op_residual=float(max_op),
-        max_consistency_residual=float(max(core.consistency.values())),
-        ratio_state=float(state / sqrt_eps) if sqrt_eps else 0.0,
-        ratio_op=float(max_op / sqrt_eps) if sqrt_eps else 0.0,
-    )
+# Rows per core pass: from four up the call overhead is shared, but peak memory grows with the rows.
+_CHUNK_ROWS = 8
+
+
+def _study_chunk(cells, mode: str) -> list[ScalingRow]:
+    """The rows of (delta, child seed) cells, each drawn from its own seed, in one _core pass."""
+    specs = [PerturbationSpec(delta, child_seed, mode) for delta, child_seed in cells]
+    L, alice, bob = map(np.stack, zip(*(_apply(_draw(s.seed, mode), s.delta) for s in specs)))
+    _, epsilon, consistency, op_residuals, states = _core(L, alice, bob)
+    rows = []
+    for spec, eps, ext, ops, cons in zip(specs, epsilon, states, op_residuals, consistency):
+        sqrt_eps = float(np.sqrt(eps)) if eps > 0 else 0.0
+        state, max_op = ext.state_residual, float(max(ops))
+        ratios = (state / sqrt_eps, max_op / sqrt_eps) if sqrt_eps else (0.0, 0.0)
+        rows.append(ScalingRow(spec.delta, spec.seed, eps, state, max_op, float(max(cons)), *ratios))
+    return rows
 
 
 def scaling_study(
@@ -295,7 +295,7 @@ def scaling_study(
     """Generate and validate samples over a delta grid and measure the CSV's families.
 
     Each row gets epsilon and the state, operator and consistency residuals
-    from the certificate core; certify's other families are not computed.
+    from the certificate core, up to _CHUNK_ROWS rows a pass.
 
     Returns (rows, fit) where fit least-squares the log of state_residual
     against the log of epsilon over all positive rows.  Rows come in (delta
@@ -312,11 +312,9 @@ def scaling_study(
         raise ValueError(f"deltas must lie in (0, 1], got {bad[0]}")
     if sorted(deltas) != deltas:
         raise ValueError("deltas must be ascending")
-    rows = [
-        _study_row(delta, _child_seed(seed, di, si), mode)
-        for di, delta in enumerate(deltas)
-        for si in range(samples_per_delta)
-    ]
+    cells = [(d, _child_seed(seed, di, si)) for di, d in enumerate(deltas) for si in range(samples_per_delta)]
+    chunks = [cells[start : start + _CHUNK_ROWS] for start in range(0, len(cells), _CHUNK_ROWS)]
+    rows = [row for chunk in chunks for row in _study_chunk(chunk, mode)]
     return rows, fit_summary(rows)
 
 

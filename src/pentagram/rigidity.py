@@ -17,6 +17,10 @@ constants this module measures empirically rather than certifies.
 Register conventions: Alice's output space is ordered (original space, Q1,
 Q2, Q3) and Bob's (original space, Q4, Q5, Q6); ancilla Qi pairs with ancilla
 Q(i+3) in the Bell decomposition.
+
+Strategies are measured as (B, ...) stacks through one certificate core:
+a scaling sweep passes many rows at once, certify and the public residual
+functions one.  A row's values never depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .game import STANDARD_GAME
 from .linalg import (
     BELL_KINDS,
     BOUND_SLACK,
     HADAMARD,
     PLUS,
     STRUCTURE_TOL,
+    _dagger,
     _frobenius_norms,
     as_matrix,
     bell_matrix,
@@ -39,13 +45,16 @@ from .linalg import (
     matrix_to_json,
 )
 from .strategies import (
-    DistinguishedReflections,
+    DISTINGUISHED_CONTEXT,
+    X_PRIME_VERTEX,
+    Z_PRIME_VERTEX,
     ReflectionStrategy,
     StrategyValidationError,  # raised by certify, so importable from here too
     ValidationReport,
+    _losing_terms,
     _question_stacks,
-    losing_terms,
-    require_valid,
+    _stacks,
+    _validate_rows,
     select_distinguished,
 )
 
@@ -110,9 +119,22 @@ def _check_reflection(m: np.ndarray) -> None:
 
 
 def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
-    """Apply u to the original-space axis of t where ancilla k is |1>, in place."""
-    one = (slice(None),) * k + (1,)
-    t[one] = np.tensordot(u, t[one], axes=1)
+    """Apply each row's u to the original-space axis of t where ancilla k is |1>, in place."""
+    one = (slice(None),) * (k + 1) + (1,)
+    sub = t[one]
+    t[one] = (u @ sub.reshape(*sub.shape[:2], -1)).reshape(sub.shape)
+
+
+def _isometries(primes: np.ndarray) -> np.ndarray:
+    """(B, 8d, d) isometries of (B, 6, d, d) stacks X'_1, Z'_1, ..., Z'_3, by build_isometry's circuit unchecked."""
+    n, d = primes.shape[0], primes.shape[-1]
+    t = np.einsum("ab,i,j,k->aijkb", np.eye(d, dtype=complex), PLUS, PLUS, PLUS)
+    t = np.broadcast_to(t, (n, *t.shape)).copy()
+    for k in (3, 2, 1):
+        _controlled(t, k, primes[:, 2 * k - 1])
+        t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, k + 1)), 0, k + 1)
+        _controlled(t, k, primes[:, 2 * k - 2])
+    return t.reshape(n, 8 * d, d)
 
 
 def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray], side: str = "alice") -> LocalIsometry:
@@ -132,30 +154,53 @@ def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray], side: str =
     d = x_ops[0].shape[0]
     if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
         raise ValueError("all reflections must share one dimension")
-
-    t = np.einsum("ab,i,j,k->aijkb", np.eye(d, dtype=complex), PLUS, PLUS, PLUS)
-    for k in (3, 2, 1):
-        _controlled(t, k, z_ops[k - 1])
-        t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, k)), 0, k)
-        _controlled(t, k, x_ops[k - 1])
-    return LocalIsometry(side=side, matrix=t.reshape(8 * d, d))
+    return LocalIsometry(side, _isometries(np.array([m for pair in zip(x_ops, z_ops) for m in pair])[None])[0])
 
 
 # Indices of the simulated Pauli pairs each side's isometry extracts.
 _REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
 
+# The twelve operator residuals' keys, register by register, X before Z, and in that order each
+# simulated Pauli's index: Alice's into her question stack, Bob's into his vertex stack.
+_OP_KEYS = tuple(f"{which}{i}" for i in range(1, 7) for which in "XZ")
+_PRIME_INDEX = [
+    STANDARD_GAME.questions().index((DISTINGUISHED_CONTEXT[v], v)) if i < 4 else STANDARD_GAME.vertices.index(v)
+    for i in range(1, 7)
+    for v in (X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])
+]
 
-def _isometry(dist: DistinguishedReflections, side: str) -> LocalIsometry:
-    regs = _REGISTERS[side]
-    return build_isometry([dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs], side=side)
+
+def _images(L: np.ndarray, primes: dict, sides=tuple(_REGISTERS)) -> dict:
+    """Each side's stacked (V_A, V_A L) or (V_B^dagger, L V_B^dagger), its isometries built once."""
+    v = {side: _isometries(primes[side]) for side in sides}
+    v = {side: m if side == "alice" else _dagger(m) for side, m in v.items()}
+    return {side: (m, m @ L if side == "alice" else L @ m) for side, m in v.items()}
+
+
+def _checked(r: ReflectionStrategy, sides=tuple(_REGISTERS)):
+    """(L, primes) of r as one-row stacks, after build_isometry's checks on the primes of `sides`."""
+    dist = select_distinguished(r)
+    primes = {side: [m for i in _REGISTERS[side] for m in (dist.x_prime[i], dist.z_prime[i])] for side in sides}
+    for m in (m for ops in primes.values() for m in ops):
+        _check_reflection(m)
+    L = np.asarray(r.L, dtype=complex)[None]
+    return L, {side: np.array([ops], dtype=complex) for side, ops in primes.items()}
 
 
 def alice_isometry(r: ReflectionStrategy) -> LocalIsometry:
-    return _isometry(select_distinguished(r), "alice")
+    return LocalIsometry("alice", _isometries(_checked(r, ("alice",))[1]["alice"])[0])
 
 
 def bob_isometry(r: ReflectionStrategy) -> LocalIsometry:
-    return _isometry(select_distinguished(r), "bob")
+    return LocalIsometry("bob", _isometries(_checked(r, ("bob",))[1]["bob"])[0])
+
+
+def _consistency(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """(B, 20) consistency residuals of stacked strategies, in game.questions() order."""
+    R, S = _question_stacks(alice, bob)
+    x = R @ L[:, None]
+    x -= L[:, None] @ S
+    return _frobenius_norms(x)
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -165,30 +210,7 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     sqrt(80 epsilon): the corresponding losing term is (1/4) times the
     squared residual and no term exceeds 20 times the losing probability.
     """
-    R, S = _question_stacks(r)
-    res = _frobenius_norms(R @ r.L - r.L @ S)
-    return dict(zip(r.game.questions(), map(float, res)))
-
-
-@dataclass
-class _Images:
-    """The simulated Pauli table and each requested side's image of the state.
-
-    sides["alice"] is (V_A, V_A L) and sides["bob"] is (V_B^dagger,
-    L V_B^dagger), so every residual family reuses the isometries built once.
-    """
-
-    dist: DistinguishedReflections
-    sides: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-def _images(r: ReflectionStrategy, sides=("alice", "bob")) -> _Images:
-    dist = select_distinguished(r)
-    out = {}
-    for side in sides:
-        v = _isometry(dist, side).matrix
-        out[side] = (v, v @ r.L) if side == "alice" else (v.conj().T, r.L @ v.conj().T)
-    return _Images(dist=dist, sides=out)
+    return dict(zip(r.game.questions(), map(float, _consistency(*_stacks(r))[0])))
 
 
 def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
@@ -202,32 +224,26 @@ def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
     return t * np.array([1.0, -1.0]).reshape((2,) + (1,) * (t.ndim - axis - 1))
 
 
-def _word_residual(r: ReflectionStrategy, im: _Images, side: str, parsed) -> float:
-    prime = {"X": im.dist.x_prime, "Z": im.dist.z_prime}
-    v, image = im.sides[side]
-    rhs = r.L
-    if side == "alice":
-        # rows of V_A L are (Alice's space, Q1, Q2, Q3): Qi is axis i
-        lhs = image.reshape(r.dim_a, 2, 2, 2, r.dim_b)
-        for which, idx in reversed(parsed):
-            lhs = _ancilla_pauli(lhs, which, idx)
-            rhs = prime[which][idx] @ rhs
-        return frobenius_norm(lhs.reshape(image.shape) - v @ rhs)
-    # columns of L V_B^dagger are (Bob's space, Q4, Q5, Q6): Qi is axis i - 2
-    lhs = image.reshape(r.dim_a, r.dim_b, 2, 2, 2)
-    for which, idx in reversed(parsed):
-        lhs = _ancilla_pauli(lhs, which, idx - 2)
-        rhs = rhs @ prime[which][idx]
-    return frobenius_norm(lhs.reshape(image.shape) - rhs @ v)
+def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -> np.ndarray:
+    """(B,) residuals of one parsed word on one side's stacked images."""
+    (v, image), n, (da, db) = images[side], len(L), L.shape[1:]
+    # a row of V_A L is (Alice's space, Q1, Q2, Q3), a column of L V_B^dagger (Bob's space, Q4, Q5, Q6)
+    regs, shift = ((da, 2, 2, 2, db), 1) if side == "alice" else ((da, db, 2, 2, 2), -1)
+    lhs, rhs = image.reshape(n, *regs), L
+    for which, idx in reversed(word):
+        lhs = _ancilla_pauli(lhs, which, idx + shift)
+        op = primes[side][:, _OP_KEYS.index(f"{which}{idx}") % 6]
+        rhs = op @ rhs if side == "alice" else rhs @ op
+    out = v @ rhs if side == "alice" else rhs @ v
+    # V (O' L) - P (V L) in place: the residual's negation, with the same norm to the bit
+    out.reshape(n, *regs)[...] -= lhs
+    return _frobenius_norms(out)
 
 
-def _operator_residuals(r: ReflectionStrategy, im: _Images) -> dict[str, float]:
-    return {
-        f"{which}{i}": _word_residual(r, im, side, [(which, i)])
-        for side, regs in _REGISTERS.items()
-        for i in regs
-        for which in ("X", "Z")
-    }
+def _operator_residuals(L: np.ndarray, primes: dict, images: dict) -> np.ndarray:
+    """(B, 12) operator residuals in _OP_KEYS order."""
+    words = [(side, [(w, i)]) for side, regs in _REGISTERS.items() for i in regs for w in "XZ"]
+    return np.stack([_word_residual(side, L, primes, images, word) for side, word in words], axis=1)
 
 
 def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
@@ -237,7 +253,8 @@ def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
     keys X4..Z6 measure || (L V_B^dagger) P_i - (L O'_i) V_B^dagger || on
     Bob's, where P_i is the ancilla Pauli and O'_i the simulated operator.
     """
-    return _operator_residuals(r, _images(r))
+    L, primes = _checked(r)
+    return dict(zip(_OP_KEYS, map(float, _operator_residuals(L, primes, _images(L, primes))[0])))
 
 
 def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
@@ -264,24 +281,28 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     right multiplication and reversed application order.
     """
     side, parsed = _parse_word(word)
-    return _word_residual(r, _images(r, (side,)), side, parsed)
+    L, primes = _checked(r, (side,))
+    return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
 
 
-def _extract_state(r: ReflectionStrategy, im: _Images) -> StateExtraction:
-    P = im.sides["alice"][1] @ im.sides["bob"][0]
-    da, db = r.dim_a, r.dim_b
-    Pr = P.reshape(da, 2, 2, 2, db, 2, 2, 2)
+def _extract_states(images: dict) -> list[StateExtraction]:
+    """StateExtraction of each row, from both sides' stacked images."""
     basis = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj()
-    comps = np.einsum("aijkblmn,xil,yjm,zkn->xyzab", Pr, basis, basis, basis, optimize=True)
-    weights: dict[tuple[str, str, str], float] = {}
-    for (x, kx), (y, ky), (z, kz) in product(enumerate(BELL_KINDS), repeat=3):
-        weights[(kx, ky, kz)] = float(np.linalg.norm(comps[x, y, z]) ** 2)
-    junk = comps[0, 0, 0].copy()
-    # sqrt(||P||^2 - ||junk||^2) evaluated as the off-target weight sum, which
-    # is the same by Parseval but avoids catastrophic cancellation near zero
-    off_target = sum(w for key, w in weights.items() if key != PHI_TRIPLE)
-    residual = float(np.sqrt(max(off_target, 0.0)))
-    return StateExtraction(P=P, bell_weights=weights, junk=junk, state_residual=residual)
+    # np.einsum's optimal path at every d, row by row: a stack is large enough to wake BLAS threads
+    path = ["einsum_path", (0, 1), (0, 2), (0, 1)]
+    out = []
+    for image, v in zip(images["alice"][1], images["bob"][0]):
+        P = image @ v
+        Pr = P.reshape(P.shape[0] // 8, 2, 2, 2, P.shape[1] // 8, 2, 2, 2)
+        comps = np.einsum("aijkblmn,xil,yjm,zkn->xyzab", Pr, *[basis] * 3, optimize=path)
+        norms = _frobenius_norms(comps).ravel()
+        weights = dict(zip(product(BELL_KINDS, repeat=3), (float(x**2) for x in norms)))
+        # sqrt(||P||^2 - ||junk||^2) evaluated as the off-target weight sum, which
+        # is the same by Parseval but avoids catastrophic cancellation near zero
+        off_target = sum(w for key, w in weights.items() if key != PHI_TRIPLE)
+        residual = float(np.sqrt(max(off_target, 0.0)))
+        out.append(StateExtraction(P, weights, comps[0, 0, 0].copy(), residual))
+    return out
 
 
 def extract_state(r: ReflectionStrategy) -> StateExtraction:
@@ -294,7 +315,7 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     || junk (x) phi+ (x) phi+ (x) phi+ - P ||; the minimum is the reported
     state_residual = sqrt(||P||^2 - ||junk||^2).
     """
-    return _extract_state(r, _images(r))
+    return _extract_states(_images(*_checked(r)))[0]
 
 
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
@@ -361,29 +382,22 @@ def _sampled_change_words(
     return out
 
 
-@dataclass
-class _Core:
-    """The residual families a scaling sweep reports, with their validation."""
+def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
+    """Validate B stacked strategies at STRUCTURE_TOL, then measure epsilon, consistency, operators and state.
 
-    validation: ValidationReport
-    epsilon: float
-    consistency: dict[tuple[str, int], float]
-    op_residuals: dict[str, float]
-    extraction: StateExtraction
-
-
-def _core(r: ReflectionStrategy) -> _Core:
-    """Validate at STRUCTURE_TOL, then measure epsilon, consistency, operators and state."""
-    report = require_valid(r)
-    terms = losing_terms(r)
-    images = _images(r)
-    return _Core(
-        validation=report,
-        epsilon=sum(terms.values()) / 20.0,
-        consistency=consistency_residuals(r),
-        op_residuals=_operator_residuals(r, images),
-        extraction=_extract_state(r, images),
-    )
+    Stacks are laid out as strategies._stacks lays them; the first failing row raises.  Returns lists of
+    reports, epsilons and extractions, and (B, 20) consistency and (B, 12) operator residuals in key order.
+    Isometries skip the reflection checks validation has just made.  No row's value depends on the batch.
+    """
+    reports = _validate_rows(L, alice, bob, STRUCTURE_TOL)
+    for report in reports:
+        if not report.passed:
+            raise StrategyValidationError(report)
+    primes = {"alice": _question_stacks(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
+    images = _images(L, primes)
+    epsilon = [sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
+    ops = _operator_residuals(L, primes, images)
+    return reports, epsilon, _consistency(L, alice, bob), ops, _extract_states(images)
 
 
 def certify(
@@ -398,26 +412,27 @@ def certify(
     StrategyValidationError on failure), then gathers every residual family
     along with the state extraction, and checks the hard per-question bound
     consistency <= sqrt(80 epsilon) + BOUND_SLACK.  The families a scaling
-    sweep reports come from _core, which the sweep calls directly; the
-    context-change, pair and change-word families are added here.
+    sweep reports come from _core, run here on one row; the context-change,
+    pair and change-word families are added here.
     """
-    core = _core(r)
+    (report,), (epsilon,), consistency, ops, (extraction,) = _core(*_stacks(r))
+    consistency = dict(zip(r.game.questions(), map(float, consistency[0])))
     comm, anti = _pair_residuals(r)
-    bound = np.sqrt(80.0 * max(core.epsilon, 0.0)) + BOUND_SLACK
+    bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
 
     return RigidityReport(
-        epsilon=core.epsilon,
-        state_residual=core.extraction.state_residual,
-        bell_weights=core.extraction.bell_weights,
-        junk=core.extraction.junk,
-        op_residuals=core.op_residuals,
-        consistency_residuals=core.consistency,
+        epsilon=epsilon,
+        state_residual=extraction.state_residual,
+        bell_weights=extraction.bell_weights,
+        junk=extraction.junk,
+        op_residuals=dict(zip(_OP_KEYS, map(float, ops[0]))),
+        consistency_residuals=consistency,
         context_change_residuals=context_change_residuals(r),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
         change_word_residuals=_sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed),
-        consistency_bound_ok=all(res <= bound for res in core.consistency.values()),
-        validation=core.validation,
+        consistency_bound_ok=all(res <= bound for res in consistency.values()),
+        validation=report,
     )
 
 

@@ -212,10 +212,30 @@ def _standard_strategy(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Ref
     )
 
 
-def _question_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """R[j][v] and S[v] of the 20 questions, stacked in game.questions() order."""
-    qs = r.game.questions()
-    return np.array([r.alice[j][v] for j, v in qs]), np.array([r.bob[v] for _, v in qs])
+def _stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r as one-row stacks: L (1, da, db), Alice (1, 5, 4, da, da), Bob (1, 10, db, db)."""
+    alice = [[r.alice[j][v] for v in STANDARD_GAME.contexts[j]] for j in STANDARD_GAME.context_names]
+    bob = [r.bob[v] for v in STANDARD_GAME.vertices]
+    return np.asarray(r.L, dtype=complex)[None], np.array([alice], dtype=complex), np.array([bob], dtype=complex)
+
+
+# Bob's stack index of each question's vertex, in game.questions() order.
+_QUESTION_VERTEX = [STANDARD_GAME.vertices.index(v) for _, v in STANDARD_GAME.questions()]
+
+
+def _question_stacks(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 20) stacks of R[j][v] and S[v] in game.questions() order, Alice's (5, 4) stack flattened."""
+    return alice.reshape(alice.shape[0], 20, *alice.shape[-2:]), bob[:, _QUESTION_VERTEX]
+
+
+def _losing_terms(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[list[float]]:
+    """Each row's 20 losing terms, in game.questions() order, in one stacked pass."""
+    R, S = _question_stacks(alice, bob)
+    L, Ia, Ib = L[:, None], np.eye(L.shape[-2]), np.eye(L.shape[-1])
+    up = _frobenius_norms(((Ia + R) / 2) @ L @ ((Ib - S) / 2))
+    dn = _frobenius_norms(((Ia - R) / 2) @ L @ ((Ib + S) / 2))
+    # squared one scalar at a time: array ** 2 can round differently
+    return [[float(u**2 + d**2) for u, d in zip(ur, dr)] for ur, dr in zip(up, dn)]
 
 
 def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -224,19 +244,17 @@ def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     One minus the score equals the mean of this table.  All 20 projector
     products run as one stacked pass.
     """
-    R, S = _question_stacks(r)
-    Ia = np.eye(r.dim_a)
-    Ib = np.eye(r.dim_b)
-    up = _frobenius_norms(((Ia + R) / 2) @ r.L @ ((Ib - S) / 2))
-    dn = _frobenius_norms(((Ia - R) / 2) @ r.L @ ((Ib + S) / 2))
-    # squared one scalar at a time: array ** 2 can round differently
-    return {q: float(u**2 + d**2) for q, u, d in zip(r.game.questions(), up, dn)}
+    return dict(zip(r.game.questions(), _losing_terms(*_stacks(r))[0]))
+
+
+def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
+    """score of each row of strategy stacks."""
+    return [1.0 - sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
 
 
 def score(r: ReflectionStrategy) -> float:
     """Winning probability of a valid reflection strategy."""
-    terms = losing_terms(r)
-    return 1.0 - sum(terms.values()) / 20.0
+    return _scores(*_stacks(r))[0]
 
 
 # The six vertex pairs (a, b), a < b, of a four-vertex context.
@@ -256,32 +274,35 @@ def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
     fails.  Raises ValueError unless tol is finite and non-negative.
     """
     _check_tol(tol)
-    names = r.game.context_names
-    bob = np.array([r.bob[v] for v in r.game.vertices], dtype=complex)
-    alice = np.array([[r.alice[j][v] for v in r.game.contexts[j]] for j in names], dtype=complex)
+    return _validate_rows(*_stacks(r), tol)[0]
+
+
+def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:
+    """validate for every row of strategy stacks, laid out as _stacks lays them, in one pass."""
+    n, da = alice.shape[0], alice.shape[-1]
     # an overflow shows as an inf or NaN deviation, which fails, so numpy
     # need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        herm, invol = [], []
+        herm, invol, comm = [], [], []
+        # in place and pair by pair: smaller temporaries, for d = 32 and long stacks
         for A in (bob, alice):
-            herm.append(_frobenius_norms(A - _dagger(A)).ravel())
-            invol.append(_frobenius_norms(A @ A - np.eye(A.shape[-1])).ravel())
-        a, b = alice[:, _PAIRS_A], alice[:, _PAIRS_B]
-        # subtracted in place: one 30-matrix temporary fewer, which shows in
-        # the peak memory of d = 32 strategies
-        comm = a @ b
-        comm -= b @ a
-        comm = _frobenius_norms(comm)
-        P = np.eye(r.dim_a, dtype=complex)
-        for i in range(alice.shape[1]):
-            P = P @ alice[:, i]
-        labels = np.array([r.game.labels[j] for j in names])[:, None, None]
-        prod = _frobenius_norms(P - labels * np.eye(r.dim_a)) / np.sqrt(r.dim_a)
-        # np.max, unlike max(), keeps a NaN deviation, which then fails
-        devs = [float(np.max(x)) for x in (np.concatenate(herm), np.concatenate(invol), comm, prod)]
-        state = abs(frobenius_norm(r.L) - 1.0)
-    passed = all(d <= tol for d in (*devs, state))
-    return ValidationReport(*devs, state, tol, passed)
+            herm.append(_frobenius_norms(A - _dagger(A)).reshape(n, -1))
+            sq = A @ A
+            sq -= np.eye(A.shape[-1])
+            invol.append(_frobenius_norms(sq).reshape(n, -1))
+        for i, j in zip(_PAIRS_A, _PAIRS_B):
+            c = alice[:, :, i] @ alice[:, :, j]
+            c -= alice[:, :, j] @ alice[:, :, i]
+            comm.append(_frobenius_norms(c))
+        P = np.eye(da, dtype=complex)
+        for i in range(alice.shape[2]):
+            P = P @ alice[:, :, i]
+        labels = np.array([STANDARD_GAME.labels[j] for j in STANDARD_GAME.context_names])[:, None, None]
+        prod = _frobenius_norms(P - labels * np.eye(da)) / np.sqrt(da)
+        state = np.abs(_frobenius_norms(L) - 1.0)
+    # np.max, unlike max(), keeps a NaN deviation, which then fails
+    devs = [np.max(np.concatenate(x, axis=1), axis=1) for x in (herm, invol, comm, [prod])]
+    return [ValidationReport(*map(float, row), tol, all(d <= tol for d in row)) for row in zip(*devs, state)]
 
 
 def require_valid(r: ReflectionStrategy) -> ValidationReport:

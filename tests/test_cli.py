@@ -1,11 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pentagram.cli import main
 from pentagram.linalg import matrix_to_json
+from pentagram.optimize import MODES
 from pentagram.strategies import ideal_strategy, projective_to_json, reflection_to_json, to_projective
 
 
@@ -187,6 +189,16 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err == f"error: {deep}: JSON nested too deeply to decode\n"
 
+    @pytest.mark.parametrize("content", [b'{"dim_a": 8,', b"\xff\xfe\x00"], ids=["syntax-error", "undecodable-bytes"])
+    def test_decode_error_names_the_file(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (["score"], ["validate"], ["certify", "--out", str(tmp_path / "report.json")]):
+            code, out, err = run(capsys, *argv, "--in", str(bad))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
     def test_non_finite_deviation_fails(self, capsys, tmp_path):
         # S[1] is symmetric and finite, but S[1] @ S[1] overflows to NaN
         obj = reflection_to_json(ideal_strategy())
@@ -330,8 +342,14 @@ class TestStrictLoader:
             (lambda o: o.update(dim_a=4), "matrix L: shape (8, 8) does not match dim_a, dim_b (expected (4, 8))"),
             (lambda o: o.update(dim_b="8"), "dim_b must be a positive integer, got '8'"),
             (_drop("R", "G"), "R: missing keys ['G'], unexpected keys []"),
+            # int() would read 8.7 as 8 and true as 1
+            (lambda o: o["L"].update(rows=8.7), "matrix L: rows must be an integer, got 8.7"),
+            (lambda o: o["S"]["2"].update(cols=True), "matrix S.2: cols must be an integer, got True"),
         ],
-        ids=["S-not-object", "missing-vertex", "extra-vertex", "small-S", "false-dim_a", "string-dim_b", "missing-context"],
+        ids=[
+            "S-not-object", "missing-vertex", "extra-vertex", "small-S", "false-dim_a", "string-dim_b",
+            "missing-context", "fractional-rows", "boolean-cols",
+        ],
     )
     def test_reflection_defects(self, capsys, tmp_path, mutate, message):
         obj = reflection_to_json(ideal_strategy())
@@ -358,3 +376,24 @@ class TestStrictLoader:
         bad.write_text(json.dumps(obj))
         code, out, err = run(capsys, "score", "--in", str(bad))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestGoldenStudy:
+    """scaling-study output pinned byte for byte.
+
+    tests/data holds the CSV and fit summary of `scaling-study --deltas
+    0.001,0.01,0.1 --samples 4 --seed 1 --mode <mode>` for every mode, as
+    written before the sweep measured its rows in stacked chunks.  A change
+    that moves a byte regenerates them on purpose and logs why.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bytes_unchanged(self, capsys, tmp_path, mode):
+        rows, fit = tmp_path / "rows.csv", tmp_path / "fit.json"
+        argv = ["--deltas", "0.001,0.01,0.1", "--samples", "4", "--seed", "1", "--mode", mode]
+        code, _, err = run(capsys, "scaling-study", *argv, "--out", str(rows), "--summary", str(fit))
+        assert (code, err) == (0, "")
+        assert rows.read_bytes() == (self.DATA / f"study-{mode}.csv").read_bytes()
+        assert fit.read_bytes() == (self.DATA / f"fit-{mode}.json").read_bytes()

@@ -180,6 +180,9 @@ class TestJson:
             {"rows": "two", "cols": 1, "data": [[1.0, 0.0]]},
             {"rows": 1, "cols": 1, "data": 5},
             {"rows": 1, "cols": 2, "data": None},
+            # sizes that int() would truncate or convert, with data to match
+            {"rows": 2.7, "cols": 1, "data": [[1.0, 0.0], [0.0, 0.0]]},
+            {"rows": 1, "cols": True, "data": [[1.0, 0.0]]},
         ],
     )
     def test_malformed_header(self, obj):

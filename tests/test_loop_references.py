@@ -2,18 +2,22 @@
 
 Each reference below is the earlier loop form, kept verbatim apart from
 names and docstrings, the way test_rigidity keeps the dense Kronecker
-isometry.  The stacked
+isometry; so is the per-row certificate core that the stacked core
+replaced.  The stacked
 kernels run the same floating-point operations in the same order, so every
 comparison is exact: `==` on floats and np.array_equal on matrices, with no
 tolerance.
 """
+
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from pentagram.linalg import STRUCTURE_TOL, as_matrix, frobenius_norm
+from pentagram.linalg import BELL_KINDS, HADAMARD, PLUS, STRUCTURE_TOL, as_matrix, bell_matrix, frobenius_norm
 from pentagram.optimize import (
     MODES,
     PerturbationSpec,
@@ -23,12 +27,25 @@ from pentagram.optimize import (
     bob_best_response,
     random_strategy,
 )
-from pentagram.rigidity import consistency_residuals, context_change_residuals
+from pentagram.rigidity import (
+    _OP_KEYS,
+    PHI_TRIPLE,
+    StateExtraction,
+    _ancilla_pauli,
+    _check_reflection,
+    _core,
+    consistency_residuals,
+    context_change_residuals,
+)
 from pentagram.strategies import (
+    DistinguishedReflections,
     ReflectionStrategy,
     ValidationReport,
+    _stacks,
+    _standard_strategy,
     ideal_strategy,
     losing_terms,
+    select_distinguished,
     validate,
 )
 
@@ -153,6 +170,107 @@ def ref_context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
     return out
 
 
+# The per-row certificate core: a tensordot isometry circuit, one word at a
+# time, and an einsum extraction whose contraction order is searched per call.
+
+
+def ref_controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
+    one = (slice(None),) * k + (1,)
+    t[one] = np.tensordot(u, t[one], axes=1)
+
+
+def ref_build_isometry(x_ops, z_ops) -> np.ndarray:
+    if len(x_ops) != 3 or len(z_ops) != 3:
+        raise ValueError("expected exactly 3 X-type and 3 Z-type reflections")
+    x_ops, z_ops = [as_matrix(m) for m in x_ops], [as_matrix(m) for m in z_ops]
+    for m in (*x_ops, *z_ops):
+        _check_reflection(m)
+    d = x_ops[0].shape[0]
+    if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
+        raise ValueError("all reflections must share one dimension")
+
+    t = np.einsum("ab,i,j,k->aijkb", np.eye(d, dtype=complex), PLUS, PLUS, PLUS)
+    for k in (3, 2, 1):
+        ref_controlled(t, k, z_ops[k - 1])
+        t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, k)), 0, k)
+        ref_controlled(t, k, x_ops[k - 1])
+    return t.reshape(8 * d, d)
+
+
+REF_REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
+
+
+@dataclass
+class RefImages:
+    dist: DistinguishedReflections
+    sides: dict
+
+
+def ref_images(r: ReflectionStrategy, sides=("alice", "bob")) -> RefImages:
+    dist = select_distinguished(r)
+    out = {}
+    for side in sides:
+        regs = REF_REGISTERS[side]
+        v = ref_build_isometry([dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs])
+        out[side] = (v, v @ r.L) if side == "alice" else (v.conj().T, r.L @ v.conj().T)
+    return RefImages(dist=dist, sides=out)
+
+
+def ref_word_residual(r: ReflectionStrategy, im: RefImages, side: str, parsed) -> float:
+    prime = {"X": im.dist.x_prime, "Z": im.dist.z_prime}
+    v, image = im.sides[side]
+    rhs = r.L
+    if side == "alice":
+        lhs = image.reshape(r.dim_a, 2, 2, 2, r.dim_b)
+        for which, idx in reversed(parsed):
+            lhs = _ancilla_pauli(lhs, which, idx)
+            rhs = prime[which][idx] @ rhs
+        return frobenius_norm(lhs.reshape(image.shape) - v @ rhs)
+    lhs = image.reshape(r.dim_a, r.dim_b, 2, 2, 2)
+    for which, idx in reversed(parsed):
+        lhs = _ancilla_pauli(lhs, which, idx - 2)
+        rhs = rhs @ prime[which][idx]
+    return frobenius_norm(lhs.reshape(image.shape) - rhs @ v)
+
+
+def ref_operator_residuals(r: ReflectionStrategy, im: RefImages) -> dict[str, float]:
+    return {
+        f"{which}{i}": ref_word_residual(r, im, side, [(which, i)])
+        for side, regs in REF_REGISTERS.items()
+        for i in regs
+        for which in ("X", "Z")
+    }
+
+
+def ref_extract_state(r: ReflectionStrategy, im: RefImages) -> StateExtraction:
+    P = im.sides["alice"][1] @ im.sides["bob"][0]
+    da, db = r.dim_a, r.dim_b
+    Pr = P.reshape(da, 2, 2, 2, db, 2, 2, 2)
+    basis = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj()
+    comps = np.einsum("aijkblmn,xil,yjm,zkn->xyzab", Pr, basis, basis, basis, optimize=True)
+    weights: dict[tuple[str, str, str], float] = {}
+    for (x, kx), (y, ky), (z, kz) in product(enumerate(BELL_KINDS), repeat=3):
+        weights[(kx, ky, kz)] = float(np.linalg.norm(comps[x, y, z]) ** 2)
+    junk = comps[0, 0, 0].copy()
+    off_target = sum(w for key, w in weights.items() if key != PHI_TRIPLE)
+    residual = float(np.sqrt(max(off_target, 0.0)))
+    return StateExtraction(P=P, bell_weights=weights, junk=junk, state_residual=residual)
+
+
+def ref_core(r: ReflectionStrategy):
+    report = ref_validate(r, STRUCTURE_TOL)
+    assert report.passed
+    terms = ref_losing_terms(r)
+    images = ref_images(r)
+    return (
+        report,
+        sum(terms.values()) / 20.0,
+        ref_consistency_residuals(r),
+        ref_operator_residuals(r, images),
+        ref_extract_state(r, images),
+    )
+
+
 def assert_same_strategy(a: ReflectionStrategy, b: ReflectionStrategy):
     assert np.array_equal(a.L, b.L)
     for j in a.game.context_names:
@@ -193,9 +311,9 @@ def test_perturbed_matches_loops(mode, delta):
         # one draw serves every scale, as in calibrate_delta's bisection
         draw = _draw(seed, mode)
         for d in DELTAS:
-            assert_same_strategy(_apply(draw, d), ref_perturbed(PerturbationSpec(d, seed, mode)))
+            assert_same_strategy(_standard_strategy(*_apply(draw, d)), ref_perturbed(PerturbationSpec(d, seed, mode)))
         r = _perturbed(PerturbationSpec(delta, seed, mode))
-        assert_same_strategy(r, _apply(draw, delta))
+        assert_same_strategy(r, _standard_strategy(*_apply(draw, delta)))
         assert_kernels_match(r)
 
     check()
@@ -206,7 +324,7 @@ def test_random_strategy_matches_loops(seed):
     assert_kernels_match(random_strategy(seed))
 
 
-def test_junk_register_strategy_matches_loops():
+def junk_register_strategy() -> ReflectionStrategy:
     """A d = 32 strategy of the form P (x) I_4 with a random 4x4 junk state."""
     r = _perturbed(PerturbationSpec(0.05, 9, "combined"))
     i4 = np.eye(4)
@@ -216,6 +334,44 @@ def test_junk_register_strategy_matches_loops():
     rng = np.random.default_rng(9)
     junk = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     r.L = np.kron(r.L, junk / np.linalg.norm(junk))
+    return r
+
+
+def test_junk_register_strategy_matches_loops():
+    r = junk_register_strategy()
     assert r.dim_a == r.dim_b == 32
     assert validate(r, STRUCTURE_TOL).passed
     assert_kernels_match(r)
+    assert_core_rows_match([r])
+
+
+def assert_core_rows_match(rs: list[ReflectionStrategy]):
+    """The stacked core over all of rs gives each row exactly its per-row reference."""
+    L, alice, bob = (np.concatenate(x) for x in zip(*map(_stacks, rs)))
+    reports, epsilon, consistency, ops, states = _core(L, alice, bob)
+    for i, r in enumerate(rs):
+        report, eps, cons, op, ext = ref_core(r)
+        assert reports[i] == report
+        assert epsilon[i] == eps
+        assert dict(zip(r.game.questions(), consistency[i])) == cons
+        assert dict(zip(_OP_KEYS, ops[i])) == op
+        assert np.array_equal(states[i].P, ext.P)
+        assert np.array_equal(states[i].junk, ext.junk)
+        assert states[i].bell_weights == ext.bell_weights
+        assert states[i].state_residual == ext.state_residual
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_core_matches_per_row_core(mode):
+    @budget
+    @given(seeds)
+    @example(2)
+    def check(seed):
+        # one row alone, then the three deltas of one draw as one stack
+        draw = _draw(seed, mode)
+        rows = [_standard_strategy(*_apply(draw, d)) for d in (1e-4, 0.3, 1.0)]
+        for r in rows:
+            assert_core_rows_match([r])
+        assert_core_rows_match(rows)
+
+    check()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from pentagram.optimize import (
     rows_to_csv,
     scaling_study,
 )
-from pentagram.rigidity import certify
-from pentagram.strategies import ideal_strategy, score, validate
+from pentagram.rigidity import StrategyValidationError, certify
+from pentagram.strategies import _standard_strategy, ideal_strategy, score, validate
 
 
 def _strategies_equal(a, b):
@@ -199,15 +201,55 @@ class TestScalingStudy:
         assert rows[:2] == prefix
 
     def test_validates_each_row_once(self, monkeypatch):
-        calls = []
+        # every row passes the stacked deviation kernel exactly once, over
+        # more rows than one core pass takes
+        covered = []
 
-        def counting(r, tol):
-            calls.append(tol)
-            return validate(r, tol)
+        def counting(L, alice, bob, tol):
+            covered.extend(m.tobytes() for m in L)
+            return strategies._validate_rows(L, alice, bob, tol)
 
-        monkeypatch.setattr(strategies, "validate", counting)
-        rows, _ = scaling_study([1e-3, 1e-2], 2, seed=4)
-        assert len(calls) == len(rows) == 4
+        monkeypatch.setattr(rigidity, "_validate_rows", counting)
+        rows, _ = scaling_study([1e-3, 1e-2], 9, seed=4)
+        assert len(rows) == 18 > optimize._CHUNK_ROWS
+        own = [perturb_ideal(PerturbationSpec(row.delta, row.seed)).L.tobytes() for row in rows]
+        assert sorted(covered) == sorted(own) and len(set(own)) == len(rows)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_do_not_depend_on_their_chunk(self, monkeypatch, mode):
+        rows, fit = scaling_study([1e-3, 1e-1], 9, seed=13, mode=mode)
+        assert len(rows) > optimize._CHUNK_ROWS
+        monkeypatch.setattr(optimize, "_CHUNK_ROWS", 1)
+        alone, alone_fit = scaling_study([1e-3, 1e-1], 9, seed=13, mode=mode)
+        for row, own in zip(rows, alone, strict=True):
+            for field in dataclasses.fields(row):
+                assert getattr(row, field.name) == getattr(own, field.name), field.name
+        assert fit == alone_fit
+
+    def test_first_failing_row_of_a_chunk_raises_its_own_message(self, monkeypatch):
+        # the third row's L is off unit norm and the fourth's S[1] halved:
+        # the chunk reports the third row, as computing it alone would
+        drawn = []
+        original = optimize._apply
+
+        def breaking(draw, delta):
+            L, a, b = original(draw, delta)
+            if len(drawn) == 2:
+                L = L * (1 + 1e-6)
+            elif len(drawn) == 3:
+                b = b.copy()
+                b[0] = b[0] / 2
+            drawn.append(_standard_strategy(L, a, b))
+            return L, a, b
+
+        monkeypatch.setattr(optimize, "_apply", breaking)
+        with pytest.raises(StrategyValidationError) as caught:
+            scaling_study([1e-3, 1e-2], 3, seed=4)
+        assert len(drawn) == 6
+        with pytest.raises(StrategyValidationError) as alone:
+            certify(drawn[2])
+        assert str(caught.value) == str(alone.value)
+        assert str(caught.value).endswith(": state_norm 1.000e-06")
 
     def test_rows_equal_certify(self):
         # the sweep's core gives exactly what the full certificate reports
@@ -236,7 +278,7 @@ class TestScalingStudy:
 
     def test_negative_samples_and_seed_rejected(self, monkeypatch):
         # refused before any row is computed
-        monkeypatch.setattr(optimize, "_study_row", None)
+        monkeypatch.setattr(optimize, "_study_chunk", None)
         with pytest.raises(ValueError, match="samples_per_delta must be non-negative, got -3"):
             scaling_study([1e-2], -3, seed=0)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -245,7 +287,7 @@ class TestScalingStudy:
         assert scaling_study([1e-2], 0, seed=0)[0] == []
 
     def test_delta_above_one_rejected_before_any_row(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_study_row", None)
+        monkeypatch.setattr(optimize, "_study_chunk", None)
         for samples in (30, 0):
             with pytest.raises(ValueError, match=r"deltas must lie in \(0, 1\], got 2.0"):
                 scaling_study([0.01, 2], samples, seed=1)

@@ -371,15 +371,19 @@ class TestAgainstDenseReference:
 
 
 def test_certify_builds_each_isometry_once(monkeypatch):
-    sides = []
-    original = rigidity.build_isometry
-
-    def counting(*args, **kwargs):
-        sides.append(kwargs["side"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(rigidity, "build_isometry", counting)
+    # the side of a build is told by its first simulated Pauli, X'_1 or X'_4
     r = perturb_ideal(PerturbationSpec(1e-2, 3))
+    dist = select_distinguished(r)
+    sides = []
+    original = rigidity._isometries
+
+    def counting(primes):
+        side = "alice" if np.array_equal(primes[0, 0], dist.x_prime[1]) else "bob"
+        assert np.array_equal(primes[0, 0], dist.x_prime[1 if side == "alice" else 4])
+        sides.append(side)
+        return original(primes)
+
+    monkeypatch.setattr(rigidity, "_isometries", counting)
     certify(r)
     assert sorted(sides) == ["alice", "bob"]
     sides.clear()
