@@ -11,9 +11,7 @@ from .game import (
 from .linalg import (
     BELL_KINDS,
     bell_matrix,
-    exp_i_hermitian,
     frobenius_norm,
-    hermitian_eigendecomposition,
     matrix_from_json,
     matrix_to_json,
 )
@@ -29,11 +27,8 @@ from .optimize import (
     scaling_study,
 )
 from .rigidity import (
-    LocalIsometry,
     RigidityReport,
     StateExtraction,
-    alice_isometry,
-    bob_isometry,
     build_isometry,
     certify,
     consistency_residuals,
@@ -55,7 +50,6 @@ from .strategies import (
     projective_to_json,
     reflection_to_json,
     score,
-    score_projective,
     select_distinguished,
     strategy_from_json,
     to_projective,

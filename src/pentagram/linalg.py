@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +82,7 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def hermitian_eigendecomposition(a):
+def _hermitian_eigendecomposition(a):
     """Eigendecomposition a = V diag(w) V^dagger of a Hermitian matrix.
 
     A (..., n, n) stack is decomposed matrix by matrix in one call.
@@ -101,18 +102,11 @@ def hermitian_eigendecomposition(a):
     return w, v
 
 
-def exp_i_hermitian(h, scale: float) -> np.ndarray:
-    """Unitary exp(i*scale*h) for Hermitian h, via eigendecomposition.
-
-    h may be a (..., n, n) stack; every matrix is exponentiated in one pass.
-    """
-    return _exp_i_eigen(*hermitian_eigendecomposition(h), scale)
-
-
 def _exp_i_eigen(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """exp(i*scale*h) from the eigendecomposition (w, v) of a Hermitian stack h.
+    """Unitary exp(i*scale*h) from the eigendecomposition (w, v) of a Hermitian stack h.
 
-    Callers that exponentiate one h at many scales decompose it once.
+    Every matrix of the stack is exponentiated in one pass; callers that
+    exponentiate one h at many scales decompose it once.
     """
     return (v * np.exp(1j * scale * w)[..., None, :]) @ _dagger(v)
 
@@ -152,22 +146,26 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError):
+        parts = list(chain.from_iterable(data)) if set(map(len, data)) == {2} else None
+        # exact types: a JSON boolean is not a number, nor is a str or a list
+        if parts is None or not set(map(type, parts)) <= {int, float}:
+            raise TypeError
+        m = np.fromiter(parts, float, len(parts)).view(complex).reshape(rows, cols)
+    except (TypeError, OverflowError):
         raise ValueError(f"entry {_first_bad_entry(data)} is not a [re, im] pair of numbers") from None
-    m = flat.reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def _first_bad_entry(data) -> int:
-    """Index of the first entry that the [re, im] conversion rejects."""
+    """Index of the first entry that matrix_from_json's [re, im] decoding rejects."""
     for i, entry in enumerate(data):
         try:
-            re, im = entry
-            complex(re, im)
-        except (TypeError, ValueError):
+            if len(entry) != 2 or not {type(x) for x in entry} <= {int, float}:
+                return i
+            complex(*entry)
+        except (TypeError, OverflowError):
             return i
     return -1
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dagger, _exp_i_eigen, hermitian_eigendecomposition
+from .linalg import _dagger, _exp_i_eigen, _hermitian_eigendecomposition
 from .rigidity import _core
 from .strategies import (
     ReflectionStrategy,
@@ -128,7 +128,7 @@ def _draw(seed: int, mode: str):
     w = v = noise = None
     if k:
         # the ideal strategy has dim_a == dim_b, so one draw serves both sides
-        w, v = hermitian_eigendecomposition(random_hermitian(rng, L.shape[0], k))
+        w, v = _hermitian_eigendecomposition(random_hermitian(rng, L.shape[0], k))
     if mode in ("state-noise", "combined"):
         noise = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
         noise /= np.linalg.norm(noise)

@@ -18,9 +18,11 @@ Register conventions: Alice's output space is ordered (original space, Q1,
 Q2, Q3) and Bob's (original space, Q4, Q5, Q6); ancilla Qi pairs with ancilla
 Q(i+3) in the Bell decomposition.
 
-Strategies are measured as (B, ...) stacks through one certificate core:
-a scaling sweep passes many rows at once, certify and the public residual
-functions one.  A row's values never depend on the batch it is in.
+Every residual is measured only on a strategy that passes the one gate,
+strategies._require_valid_rows; anything else raises StrategyValidationError.
+Stacked (B, ...) strategies go through one certificate core: a sweep passes
+many rows, certify and the other residual functions one, except that
+word_residual builds only its side's isometry.  No row depends on its batch.
 """
 
 from __future__ import annotations
@@ -49,24 +51,16 @@ from .strategies import (
     X_PRIME_VERTEX,
     Z_PRIME_VERTEX,
     ReflectionStrategy,
-    StrategyValidationError,  # raised by certify, so importable from here too
+    StrategyValidationError,  # raised by certify and the residual functions, so importable from here too
     ValidationReport,
     _losing_terms,
     _question_stacks,
+    _require_valid_rows,
     _stacks,
-    _validate_rows,
     select_distinguished,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
-
-
-@dataclass
-class LocalIsometry:
-    """Exact isometry from one player's space into itself plus three qubits."""
-
-    side: str
-    matrix: np.ndarray
 
 
 @dataclass
@@ -137,7 +131,7 @@ def _isometries(primes: np.ndarray) -> np.ndarray:
     return t.reshape(n, 8 * d, d)
 
 
-def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray], side: str = "alice") -> LocalIsometry:
+def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray]) -> np.ndarray:
     """Compose the three single-ancilla maps into one (8d x d) isometry.
 
     Ancilla k is processed last-to-first, so the constructed matrix is
@@ -154,7 +148,7 @@ def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray], side: str =
     d = x_ops[0].shape[0]
     if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
         raise ValueError("all reflections must share one dimension")
-    return LocalIsometry(side, _isometries(np.array([m for pair in zip(x_ops, z_ops) for m in pair])[None])[0])
+    return _isometries(np.array([m for pair in zip(x_ops, z_ops) for m in pair])[None])[0]
 
 
 # Indices of the simulated Pauli pairs each side's isometry extracts.
@@ -170,37 +164,16 @@ _PRIME_INDEX = [
 ]
 
 
+def _primes(alice: np.ndarray, bob: np.ndarray) -> dict:
+    """Each side's (B, 6, d, d) stack X'_i, Z'_i of its three registers, gathered by _PRIME_INDEX."""
+    return {"alice": _question_stacks(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
+
+
 def _images(L: np.ndarray, primes: dict, sides=tuple(_REGISTERS)) -> dict:
     """Each side's stacked (V_A, V_A L) or (V_B^dagger, L V_B^dagger), its isometries built once."""
     v = {side: _isometries(primes[side]) for side in sides}
     v = {side: m if side == "alice" else _dagger(m) for side, m in v.items()}
     return {side: (m, m @ L if side == "alice" else L @ m) for side, m in v.items()}
-
-
-def _checked(r: ReflectionStrategy, sides=tuple(_REGISTERS)):
-    """(L, primes) of r as one-row stacks, after build_isometry's checks on the primes of `sides`."""
-    dist = select_distinguished(r)
-    primes = {side: [m for i in _REGISTERS[side] for m in (dist.x_prime[i], dist.z_prime[i])] for side in sides}
-    for m in (m for ops in primes.values() for m in ops):
-        _check_reflection(m)
-    L = np.asarray(r.L, dtype=complex)[None]
-    return L, {side: np.array([ops], dtype=complex) for side, ops in primes.items()}
-
-
-def alice_isometry(r: ReflectionStrategy) -> LocalIsometry:
-    return LocalIsometry("alice", _isometries(_checked(r, ("alice",))[1]["alice"])[0])
-
-
-def bob_isometry(r: ReflectionStrategy) -> LocalIsometry:
-    return LocalIsometry("bob", _isometries(_checked(r, ("bob",))[1]["bob"])[0])
-
-
-def _consistency(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """(B, 20) consistency residuals of stacked strategies, in game.questions() order."""
-    R, S = _question_stacks(alice, bob)
-    x = R @ L[:, None]
-    x -= L[:, None] @ S
-    return _frobenius_norms(x)
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -209,8 +182,9 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     For a strategy with score 1 - epsilon each entry is at most
     sqrt(80 epsilon): the corresponding losing term is (1/4) times the
     squared residual and no term exceeds 20 times the losing probability.
+    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return dict(zip(r.game.questions(), map(float, _consistency(*_stacks(r))[0])))
+    return dict(zip(r.game.questions(), map(float, _core(*_stacks(r))[2][0])))
 
 
 def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
@@ -252,24 +226,21 @@ def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
     Keys X1..Z3 measure || P_i (V_A L) - V_A (O'_i L) || on Alice's side;
     keys X4..Z6 measure || (L V_B^dagger) P_i - (L O'_i) V_B^dagger || on
     Bob's, where P_i is the ancilla Pauli and O'_i the simulated operator.
+    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    L, primes = _checked(r)
-    return dict(zip(_OP_KEYS, map(float, _operator_residuals(L, primes, _images(L, primes))[0])))
+    return dict(zip(_OP_KEYS, map(float, _core(*_stacks(r))[3][0])))
 
 
 def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
     if not word:
         raise ValueError("word must be nonempty")
-    parsed = []
     for label in word:
-        which, idx = label[0].upper(), int(label[1:])
-        if which not in ("X", "Z") or idx not in range(1, 7):
-            raise ValueError(f"bad operator label {label!r}")
-        parsed.append((which, idx))
-    sides = {"alice" if idx <= 3 else "bob" for _, idx in parsed}
+        if label not in _OP_KEYS:
+            raise ValueError(f"bad operator label {label!r}, expected one of {', '.join(_OP_KEYS)}")
+    sides = {"alice" if _OP_KEYS.index(label) < 6 else "bob" for label in word}
     if len(sides) > 1:
         raise ValueError("word mixes Alice and Bob operators")
-    return sides.pop(), parsed
+    return sides.pop(), [(label[0], int(label[1])) for label in word]
 
 
 def word_residual(r: ReflectionStrategy, word) -> float:
@@ -278,10 +249,13 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     `word` lists operator labels such as ("X1", "Z3") drawn from one side
     (indices 1..3 for Alice, 4..6 for Bob).  For Alice the residual is
     || P_1 ... P_n (V_A L) - V_A (O'_1 ... O'_n L) ||; Bob's is mirrored with
-    right multiplication and reversed application order.
+    right multiplication and reversed application order.  Raises
+    StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     side, parsed = _parse_word(word)
-    L, primes = _checked(r, (side,))
+    L, alice, bob = _stacks(r)
+    _require_valid_rows(L, alice, bob)
+    primes = _primes(alice, bob)
     return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
 
 
@@ -313,9 +287,10 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     Frobenius norm of its coefficient block.  The junk state is the
     (phi+, phi+, phi+) block, which among all product candidates minimizes
     || junk (x) phi+ (x) phi+ (x) phi+ - P ||; the minimum is the reported
-    state_residual = sqrt(||P||^2 - ||junk||^2).
+    state_residual = sqrt(||P||^2 - ||junk||^2).  Raises
+    StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return _extract_states(_images(*_checked(r)))[0]
+    return _core(*_stacks(r))[4][0]
 
 
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
@@ -389,15 +364,15 @@ def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     reports, epsilons and extractions, and (B, 20) consistency and (B, 12) operator residuals in key order.
     Isometries skip the reflection checks validation has just made.  No row's value depends on the batch.
     """
-    reports = _validate_rows(L, alice, bob, STRUCTURE_TOL)
-    for report in reports:
-        if not report.passed:
-            raise StrategyValidationError(report)
-    primes = {"alice": _question_stacks(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
+    reports = _require_valid_rows(L, alice, bob)
+    primes = _primes(alice, bob)
     images = _images(L, primes)
     epsilon = [sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
     ops = _operator_residuals(L, primes, images)
-    return reports, epsilon, _consistency(L, alice, bob), ops, _extract_states(images)
+    R, S = _question_stacks(alice, bob)
+    consistency = R @ L[:, None]
+    consistency -= L[:, None] @ S
+    return reports, epsilon, _frobenius_norms(consistency), ops, _extract_states(images)
 
 
 def certify(

@@ -305,12 +305,18 @@ def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float
     return [ValidationReport(*map(float, row), tol, all(d <= tol for d in row)) for row in zip(*devs, state)]
 
 
+def _require_valid_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[ValidationReport]:
+    """The one gate: _validate_rows at STRUCTURE_TOL, raising StrategyValidationError at the first failing row."""
+    reports = _validate_rows(L, alice, bob, STRUCTURE_TOL)
+    for report in reports:
+        if not report.passed:
+            raise StrategyValidationError(report)
+    return reports
+
+
 def require_valid(r: ReflectionStrategy) -> ValidationReport:
     """validate(r, STRUCTURE_TOL), raising StrategyValidationError unless it passes."""
-    report = validate(r, STRUCTURE_TOL)
-    if not report.passed:
-        raise StrategyValidationError(report)
-    return report
+    return _require_valid_rows(*_stacks(r))[0]
 
 
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
@@ -405,19 +411,6 @@ def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
     bob = {v: p.bob[v][0] - p.bob[v][1] for v in p.game.vertices}
     L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
     return ReflectionStrategy(L=L, alice=alice, bob=bob)
-
-
-def score_projective(p: ProjectiveStrategy) -> float:
-    """Winning probability computed directly from projective outcome weights."""
-    L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b)
-    win = 0.0
-    for j in p.game.context_names:
-        vs = p.game.contexts[j]
-        for i, v in enumerate(vs):
-            for t, M in p.alice[j].items():
-                N = p.bob[v][t[i]]
-                win += float(np.linalg.norm(M @ L @ N) ** 2)
-    return win / 20.0
 
 
 def select_distinguished(r: ReflectionStrategy) -> DistinguishedReflections:

@@ -166,7 +166,7 @@ def test_criterion_07_algebraic_identities():
             [random_reflection(rng, d) for _ in range(3)],
             [random_reflection(rng, d) for _ in range(3)],
         )
-        gram = iso.matrix.conj().T @ iso.matrix
+        gram = iso.conj().T @ iso
         iso_dev = max(iso_dev, float(np.linalg.norm(gram - np.eye(d))))
 
     ok = identity_dev <= 1e-10 and bell_dev <= 1e-12 and iso_dev <= 1e-12

@@ -249,6 +249,20 @@ class TestExitCodes:
             assert code == 1
             assert err == "error: matrix L: entry 5 is not a [re, im] pair of numbers\n"
 
+    @pytest.mark.parametrize("entry", [[True, 0], [10**400, 0]], ids=["boolean", "oversized-integer"])
+    def test_non_float_matrix_entry(self, capsys, tmp_path, entry):
+        # a JSON boolean is not a number, and a 401-digit integer has no float
+        obj = reflection_to_json(ideal_strategy())
+        obj["L"]["data"][3] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+
+        for argv in (["score"], ["validate"], ["certify", "--out", str(tmp_path / "report.json")]):
+            code, out, err = run(capsys, *argv, "--in", str(bad))
+            assert (code, out) == (1, "")
+            assert err == "error: matrix L: entry 3 is not a [re, im] pair of numbers\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_certify_refuses_what_score_refuses(self, capsys, tmp_path):
         obj = reflection_to_json(ideal_strategy())
         factor = 1 + 5e-9

@@ -6,11 +6,11 @@ from pentagram.linalg import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
+    _exp_i_eigen,
     _frobenius_norms,
+    _hermitian_eigendecomposition,
     bell_matrix,
-    exp_i_hermitian,
     frobenius_norm,
-    hermitian_eigendecomposition,
     matrix_from_json,
     matrix_to_json,
 )
@@ -50,11 +50,11 @@ class TestFrobenius:
 
 class TestEigendecomposition:
     def test_pauli_z(self):
-        w, _ = hermitian_eigendecomposition(PAULI_Z)
+        w, _ = _hermitian_eigendecomposition(PAULI_Z)
         np.testing.assert_allclose(w, [-1, 1], atol=1e-15)
 
     def test_pauli_x_eigenvectors(self):
-        w, v = hermitian_eigendecomposition(PAULI_X)
+        w, v = _hermitian_eigendecomposition(PAULI_X)
         np.testing.assert_allclose(w, [-1, 1], atol=1e-15)
         minus = np.array([1, -1]) / np.sqrt(2)
         plus = np.array([1, 1]) / np.sqrt(2)
@@ -62,29 +62,33 @@ class TestEigendecomposition:
         assert abs(abs(np.vdot(v[:, 1], plus)) - 1) < 1e-12
 
     def test_identity(self):
-        w, _ = hermitian_eigendecomposition(np.eye(4))
+        w, _ = _hermitian_eigendecomposition(np.eye(4))
         np.testing.assert_allclose(w, np.ones(4), atol=1e-15)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         for n in (2, 8, 32, 64):
             h = _rand_hermitian(rng, n)
-            w, v = hermitian_eigendecomposition(h)
+            w, v = _hermitian_eigendecomposition(h)
             assert frobenius_norm((v * w) @ v.conj().T - h) < 1e-10
             assert frobenius_norm(v.conj().T @ v - np.eye(n)) < 1e-10
             assert np.all(np.diff(w) >= -1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
+            _hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestExpIHermitian:
+    """exp(i scale h) as the package computes it: _exp_i_eigen of _hermitian_eigendecomposition."""
+
     def test_zero_scale(self):
-        np.testing.assert_allclose(exp_i_hermitian(HADAMARD, 0.0), np.eye(2), atol=1e-15)
+        u = _exp_i_eigen(*_hermitian_eigendecomposition(HADAMARD), 0.0)
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
 
     def test_pi_z(self):
-        np.testing.assert_allclose(exp_i_hermitian(PAULI_Z, np.pi), -np.eye(2), atol=1e-12)
+        u = _exp_i_eigen(*_hermitian_eigendecomposition(PAULI_Z), np.pi)
+        np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
 
     def test_taylor_remainder(self):
         rng = np.random.default_rng(8)
@@ -92,32 +96,33 @@ class TestExpIHermitian:
         for n in (2, 8):
             h = _rand_hermitian(rng, n)
             h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-            u = exp_i_hermitian(h, delta)
+            u = _exp_i_eigen(*_hermitian_eigendecomposition(h), delta)
             remainder = frobenius_norm(u - np.eye(n) - 1j * delta * h)
             assert remainder < 10 * delta**2
 
     def test_unitarity(self):
         rng = np.random.default_rng(9)
         h = _rand_hermitian(rng, 8)
-        u = exp_i_hermitian(h, 0.37)
+        u = _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.37)
         assert frobenius_norm(u.conj().T @ u - np.eye(8)) < 1e-10
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            exp_i_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+            _exp_i_eigen(*_hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
 
     def test_stack_with_non_hermitian_slice_rejected(self):
         rng = np.random.default_rng(10)
         h = np.stack([_rand_hermitian(rng, 4) for _ in range(5)])
         h[3, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            exp_i_hermitian(h, 0.5)
+            _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.5)
 
     def test_stack_equals_each_matrix(self):
         rng = np.random.default_rng(11)
         h = np.stack([_rand_hermitian(rng, 8) for _ in range(6)])
-        u = exp_i_hermitian(h, 0.3)
-        assert all(np.array_equal(u[i], exp_i_hermitian(h[i], 0.3)) for i in range(6))
+        u = _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.3)
+        each = [_exp_i_eigen(*_hermitian_eigendecomposition(h[i]), 0.3) for i in range(6)]
+        assert all(np.array_equal(u[i], each[i]) for i in range(6))
 
 
 class TestStackedNorms:

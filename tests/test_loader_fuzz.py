@@ -2,8 +2,9 @@
 
 Each example mutates the ideal strategy file in one of its two formats: it
 drops or adds a key, swaps a section for a value of another type, resizes a
-matrix or scales the state.  The run is derandomized so the suite stays
-deterministic.
+matrix, replaces one matrix entry with something that is not a pair of
+float-valued numbers, or scales the state.  The run is derandomized so the
+suite stays deterministic.
 """
 
 import contextlib
@@ -24,6 +25,8 @@ IDEAL = {
     "projective": projective_to_json(to_projective(ideal_strategy())),
 }
 JUNK = [None, True, 0, -3, 2.5, "8", [], [[1.0, 0.0]], {}, {"rows": 1}]
+# matrix entries that are not a [re, im] pair of numbers with a float value
+BAD_ENTRIES = [[True, 0], [10**400, 0], ["1", 0], [1, 0, 0], [1]]
 
 
 def _objects_by_depth(obj):
@@ -43,7 +46,7 @@ def mutated_files(draw):
     # many matrices
     node = draw(st.sampled_from(draw(st.sampled_from(_objects_by_depth(obj)))))
     keys = sorted(node)
-    kind = draw(st.sampled_from(["drop", "add", "swap", "resize", "scale"]))
+    kind = draw(st.sampled_from(["drop", "add", "swap", "resize", "entry", "scale"]))
     if kind == "drop":
         del node[draw(st.sampled_from(keys))]
     elif kind == "add":
@@ -55,6 +58,9 @@ def mutated_files(draw):
         rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
         n = rows * cols + draw(st.sampled_from([0, 0, 0, -1, 1]))
         node.update(rows=rows, cols=cols, data=[[draw(st.floats(-1, 1)), 0.0] for _ in range(n)])
+    elif kind == "entry" and "data" in node:
+        index = draw(st.integers(0, len(node["data"]) - 1))
+        node["data"][index] = copy.deepcopy(draw(st.sampled_from(BAD_ENTRIES)))
     else:
         state = obj["L"] if "L" in obj else obj["psi"]
         factor = draw(st.sampled_from([0.0, 1 + 5e-9, 1 - 1e-12, 2.0, -1.0]))

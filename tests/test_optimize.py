@@ -201,15 +201,15 @@ class TestScalingStudy:
         assert rows[:2] == prefix
 
     def test_validates_each_row_once(self, monkeypatch):
-        # every row passes the stacked deviation kernel exactly once, over
-        # more rows than one core pass takes
+        # every row passes the validation gate exactly once, over more rows
+        # than one core pass takes
         covered = []
 
-        def counting(L, alice, bob, tol):
+        def counting(L, alice, bob):
             covered.extend(m.tobytes() for m in L)
-            return strategies._validate_rows(L, alice, bob, tol)
+            return strategies._require_valid_rows(L, alice, bob)
 
-        monkeypatch.setattr(rigidity, "_validate_rows", counting)
+        monkeypatch.setattr(rigidity, "_require_valid_rows", counting)
         rows, _ = scaling_study([1e-3, 1e-2], 9, seed=4)
         assert len(rows) == 18 > optimize._CHUNK_ROWS
         own = [perturb_ideal(PerturbationSpec(row.delta, row.seed)).L.tobytes() for row in rows]
@@ -305,13 +305,13 @@ class TestScalingStudy:
 
 def test_calibrate_delta_validates_once(monkeypatch):
     # bisection steps only score; the accepted spec is validated once
-    calls = []
+    calls, gate = [], strategies._require_valid_rows
 
-    def counting(r, tol):
-        calls.append(tol)
-        return validate(r, tol)
+    def counting(L, alice, bob):
+        calls.append(len(L))
+        return gate(L, alice, bob)
 
-    monkeypatch.setattr(strategies, "validate", counting)
+    monkeypatch.setattr(strategies, "_require_valid_rows", counting)
     spec = calibrate_delta(1e-3, seed=3)
     assert len(calls) == 1
     calls.clear()

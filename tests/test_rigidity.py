@@ -1,4 +1,5 @@
 import json
+import re
 from functools import reduce
 from itertools import product
 
@@ -16,8 +17,6 @@ from pentagram.optimize import (
 from pentagram.rigidity import (
     PHI_TRIPLE,
     StrategyValidationError,
-    alice_isometry,
-    bob_isometry,
     build_isometry,
     certify,
     consistency_residuals,
@@ -35,14 +34,20 @@ def ideal():
     return ideal_strategy()
 
 
+def side_isometry(r, side):
+    """build_isometry on the simulated Paulis of one side's three registers."""
+    dist = select_distinguished(r)
+    regs = (1, 2, 3) if side == "alice" else (4, 5, 6)
+    return build_isometry([dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs])
+
+
 class TestIsometry:
     def test_shape(self, ideal):
-        iso = alice_isometry(ideal)
-        assert iso.matrix.shape == (64, 8)
+        assert side_isometry(ideal, "alice").shape == (64, 8)
 
     def test_exact_isometry_for_ideal(self, ideal):
-        for iso in (alice_isometry(ideal), bob_isometry(ideal)):
-            gram = iso.matrix.conj().T @ iso.matrix
+        for iso in (side_isometry(ideal, "alice"), side_isometry(ideal, "bob")):
+            gram = iso.conj().T @ iso
             assert frobenius_norm(gram - np.eye(8)) <= 1e-12
 
     def test_exact_isometry_for_random_reflections(self):
@@ -52,7 +57,7 @@ class TestIsometry:
             x_ops = [random_reflection(rng, d) for _ in range(3)]
             z_ops = [random_reflection(rng, d) for _ in range(3)]
             iso = build_isometry(x_ops, z_ops)
-            gram = iso.matrix.conj().T @ iso.matrix
+            gram = iso.conj().T @ iso
             assert frobenius_norm(gram - np.eye(d)) <= 1e-12
 
     def test_non_reflection_rejected(self):
@@ -110,6 +115,11 @@ class TestWordResiduals:
             word_residual(ideal, ["Y1"])
         with pytest.raises(ValueError):
             word_residual(ideal, ["X7"])
+
+    @pytest.mark.parametrize("label", ["", 5, "X 1", "Z+2", "X01", "x1", None])
+    def test_only_the_twelve_labels_accepted(self, ideal, label):
+        with pytest.raises(ValueError, match=re.escape(f"bad operator label {label!r}, expected one of X1, Z1, ")):
+            word_residual(ideal, ["X1", label])
 
     def test_repeated_word_linear_growth(self):
         # a word repeating one reflection grows at most linearly, exactly
@@ -345,14 +355,14 @@ class TestAgainstDenseReference:
             x_ops = [random_reflection(rng, d) for _ in range(3)]
             z_ops = [random_reflection(rng, d) for _ in range(3)]
             iso = build_isometry(x_ops, z_ops)
-            assert np.max(np.abs(iso.matrix - dense_isometry(x_ops, z_ops))) <= self.TOL
+            assert np.max(np.abs(iso - dense_isometry(x_ops, z_ops))) <= self.TOL
 
     @pytest.mark.parametrize("seed,k", [(0, 1), (1, 1), (2, 2), (3, 4)])
     def test_residuals_and_state(self, seed, k):
         r = _enlarged_strategy(seed, k) if k > 1 else random_strategy(seed)
         ref = DenseReference(r)
-        assert np.max(np.abs(alice_isometry(r).matrix - ref.va)) <= self.TOL
-        assert np.max(np.abs(bob_isometry(r).matrix - ref.vb)) <= self.TOL
+        assert np.max(np.abs(side_isometry(r, "alice") - ref.va)) <= self.TOL
+        assert np.max(np.abs(side_isometry(r, "bob") - ref.vb)) <= self.TOL
 
         res, want = operator_residuals(r), ref.operator_residuals()
         assert set(res) == set(want)
@@ -368,6 +378,27 @@ class TestAgainstDenseReference:
             assert abs(ext.bell_weights[kinds] - np.linalg.norm(block) ** 2) <= self.TOL
         off = sum(np.linalg.norm(b) ** 2 for kinds, b in comps.items() if kinds != PHI_TRIPLE)
         assert abs(ext.state_residual - np.sqrt(off)) <= self.TOL
+
+
+def _double_state(r):
+    r.L = 2 * r.L
+
+
+def _negate_g1(r):
+    r.alice["G"][1] = -r.alice["G"][1]
+
+
+@pytest.mark.parametrize("breaks", [_double_state, _negate_g1], ids=["L-doubled", "G1-negated"])
+@pytest.mark.parametrize(
+    "measure",
+    [certify, extract_state, operator_residuals, lambda r: word_residual(r, ["Z4", "X5"]), consistency_residuals],
+    ids=["certify", "extract_state", "operator_residuals", "word_residual", "consistency_residuals"],
+)
+def test_every_residual_requires_a_valid_strategy(ideal, measure, breaks):
+    # neither defect touches Bob's simulated Paulis, which the word uses
+    breaks(ideal)
+    with pytest.raises(StrategyValidationError):
+        measure(ideal)
 
 
 def test_certify_builds_each_isometry_once(monkeypatch):

@@ -12,6 +12,7 @@ from pentagram.strategies import (
     IDEAL_OBSERVABLES,
     X_PRIME_VERTEX,
     Z_PRIME_VERTEX,
+    ProjectiveStrategy,
     ReflectionStrategy,
     StrategyValidationError,
     classical_embedding,
@@ -21,7 +22,6 @@ from pentagram.strategies import (
     projective_to_json,
     reflection_to_json,
     score,
-    score_projective,
     select_distinguished,
     strategy_from_json,
     to_projective,
@@ -33,6 +33,19 @@ from pentagram.strategies import (
 @pytest.fixture()
 def ideal():
     return ideal_strategy()
+
+
+def score_projective(p: ProjectiveStrategy) -> float:
+    """Winning probability computed directly from projective outcome weights."""
+    L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b)
+    win = 0.0
+    for j in p.game.context_names:
+        vs = p.game.contexts[j]
+        for i, v in enumerate(vs):
+            for t, M in p.alice[j].items():
+                N = p.bob[v][t[i]]
+                win += float(np.linalg.norm(M @ L @ N) ** 2)
+    return win / 20.0
 
 
 @pytest.fixture(scope="module")
@@ -377,12 +390,15 @@ class TestValidationGate:
         assert messages == {"strategy failed validation at tol=1e-10: involution 2.121e+00"}
 
     def test_generated_strategies_go_through_the_gate(self, monkeypatch):
-        def failing(r, tol):
-            report = validate(r, tol)
-            report.involution, report.passed = 1.0, False
-            return report
+        measure = strategies._validate_rows
 
-        monkeypatch.setattr(strategies, "validate", failing)
+        def failing(L, alice, bob, tol):
+            reports = measure(L, alice, bob, tol)
+            for report in reports:
+                report.involution, report.passed = 1.0, False
+            return reports
+
+        monkeypatch.setattr(strategies, "_validate_rows", failing)
         with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
             perturb_ideal(PerturbationSpec(0.01, 5))
         with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
