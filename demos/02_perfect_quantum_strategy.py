@@ -9,7 +9,8 @@ anticommutation is what the self-test later leans on.
 
 import numpy as np
 
-from pentagram import ideal_strategy, losing_terms, score, select_distinguished, validate
+from pentagram import ideal_strategy, losing_terms, score, validate
+from pentagram.rigidity import X_PRIME_VERTEX, Z_PRIME_VERTEX
 from pentagram.strategies import IDEAL_OBSERVABLES
 
 
@@ -38,25 +39,12 @@ def main():
         acomm = obs[v] @ obs[w] + obs[w] @ obs[v]
         print(f"  {{O{v}, O{w}}} has norm {np.linalg.norm(acomm):.1e}")
 
-    dist = select_distinguished(r)
     print()
     print("Simulated Pauli assignment (register, X-type vertex word, Z-type):")
     for i in (1, 2, 3):
-        x_word = _word(dist.x_prime[i])
-        z_word = _word(dist.z_prime[i])
+        x_word = IDEAL_OBSERVABLES[X_PRIME_VERTEX[i]]
+        z_word = IDEAL_OBSERVABLES[Z_PRIME_VERTEX[i]]
         print(f"  register {i}: X' = {x_word}, Z' = {z_word}")
-
-
-def _word(op):
-    from pentagram.linalg import ID2, PAULI_X, PAULI_Z, kron_all
-
-    letters = {"I": ID2, "X": PAULI_X, "Z": PAULI_Z}
-    for a in "IXZ":
-        for b in "IXZ":
-            for c in "IXZ":
-                if np.allclose(op, kron_all([letters[a], letters[b], letters[c]])):
-                    return a + b + c
-    return "?"
 
 
 if __name__ == "__main__":

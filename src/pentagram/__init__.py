@@ -38,7 +38,6 @@ from .rigidity import (
     word_residual,
 )
 from .strategies import (
-    DistinguishedReflections,
     InvalidStrategyError,
     ProjectiveStrategy,
     ReflectionStrategy,
@@ -50,7 +49,6 @@ from .strategies import (
     projective_to_json,
     reflection_to_json,
     score,
-    select_distinguished,
     strategy_from_json,
     to_projective,
     to_reflection,

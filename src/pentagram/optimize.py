@@ -154,11 +154,6 @@ def _apply(draw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return L, a, b
 
 
-def _perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
-    """perturb_ideal without its validation, for callers that validate anyway."""
-    return _standard_strategy(*_apply(_draw(spec.seed, spec.mode), spec.delta))
-
-
 def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     """Conjugation-perturbed copy of the ideal strategy.
 
@@ -168,7 +163,7 @@ def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     L + delta * W with W Gaussian scaled to unit Frobenius norm.  The result
     passes validation at STRUCTURE_TOL by construction and is checked anyway.
     """
-    r = _perturbed(spec)
+    r = _standard_strategy(*_apply(_draw(spec.seed, spec.mode), spec.delta))
     require_valid(r)
     return r
 

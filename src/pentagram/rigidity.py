@@ -23,6 +23,9 @@ strategies._require_valid_rows; anything else raises StrategyValidationError.
 Stacked (B, ...) strategies go through one certificate core: a sweep passes
 many rows, certify and the other residual functions one, except that
 word_residual builds only its side's isometry.  No row depends on its batch.
+certify builds one strategy's stacks once: the core and its certify-only
+families (context changes, pair commutators and anticommutators, sampled
+change words) all read them, through index tables built at import.
 """
 
 from __future__ import annotations
@@ -47,9 +50,8 @@ from .linalg import (
     matrix_to_json,
 )
 from .strategies import (
-    DISTINGUISHED_CONTEXT,
-    X_PRIME_VERTEX,
-    Z_PRIME_VERTEX,
+    _QUESTION_INDEX,
+    _VERTEX_QUESTIONS,
     ReflectionStrategy,
     StrategyValidationError,  # raised by certify and the residual functions, so importable from here too
     ValidationReport,
@@ -57,7 +59,6 @@ from .strategies import (
     _question_stacks,
     _require_valid_rows,
     _stacks,
-    select_distinguished,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
@@ -151,6 +152,22 @@ def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray]) -> np.ndarr
     return _isometries(np.array([m for pair in zip(x_ops, z_ops) for m in pair])[None])[0]
 
 
+# Context hosting the distinguished reflection of each vertex (each vertex
+# lies on two contexts; one is singled out so that statements about "the"
+# reflection of a vertex are unambiguous).
+DISTINGUISHED_CONTEXT = {
+    1: "G", 2: "G", 3: "E", 4: "F", 5: "E",
+    6: "E", 7: "F", 8: "D", 9: "D", 10: "C",
+}
+
+# Vertex assignments of the simulated Pauli pairs.  Indices 1..3 are Alice's
+# registers (operators drawn from the distinguished reflections), 4..6 Bob's
+# (operators drawn from S).  For each register the X/Z pair sits on
+# non-adjacent vertices, every cross pair on adjacent ones, which is exactly
+# the (anti)commutation pattern of the Paulis they emulate.
+X_PRIME_VERTEX = {1: 6, 2: 5, 3: 7, 4: 6, 5: 5, 6: 7}
+Z_PRIME_VERTEX = {1: 10, 2: 9, 3: 8, 4: 10, 5: 9, 6: 8}
+
 # Indices of the simulated Pauli pairs each side's isometry extracts.
 _REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
 
@@ -158,7 +175,7 @@ _REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
 # simulated Pauli's index: Alice's into her question stack, Bob's into his vertex stack.
 _OP_KEYS = tuple(f"{which}{i}" for i in range(1, 7) for which in "XZ")
 _PRIME_INDEX = [
-    STANDARD_GAME.questions().index((DISTINGUISHED_CONTEXT[v], v)) if i < 4 else STANDARD_GAME.vertices.index(v)
+    _QUESTION_INDEX[DISTINGUISHED_CONTEXT[v], v] if i < 4 else STANDARD_GAME.vertices.index(v)
     for i in range(1, 7)
     for v in (X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])
 ]
@@ -293,65 +310,85 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     return _core(*_stacks(r))[4][0]
 
 
+def _context_changes(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(10,) context-change residuals of one row's L (da, db) and question stack R (20, da, da), in vertex order."""
+    x = R[_VERTEX_QUESTIONS] @ L
+    return _frobenius_norms(x[:, 0] - x[:, 1])
+
+
 def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
-    """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts."""
-    verts = r.game.vertices
-    x = np.array([[r.alice[j][v] for j in r.game.contexts_of(v)] for v in verts]) @ r.L
-    return dict(zip(verts, map(float, _frobenius_norms(x[:, 0] - x[:, 1]))))
+    """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts.
+
+    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
+    """
+    L, alice, bob = _stacks(r)
+    _require_valid_rows(L, alice, bob)
+    return dict(zip(r.game.vertices, map(float, _context_changes(L[0], _question_stacks(alice, bob)[0][0]))))
 
 
-def _pair_residuals(r: ReflectionStrategy):
-    """Commutator and anticommutator residual families over vertex pairs."""
-    dist = select_distinguished(r)
-    comm_alice: dict[str, float] = {}
-    comm_bob: dict[str, float] = {}
-    anti_alice: dict[str, float] = {}
-    anti_bob: dict[str, float] = {}
-    L = r.L
-    for v, w in combinations(r.game.vertices, 2):
-        if r.game.adjacent(v, w):
-            shared = next(j for j in r.game.context_names if {v, w} <= set(r.game.contexts[j]))
+def _pair_tables() -> tuple[dict, dict]:
+    """Each side's commutator and anticommutator (key, i, j) tables, in vertex-pair order.
+
+    Alice's i, j index game.questions(), Bob's the vertices.  An adjacent pair v < w gives Alice's commutators
+    a^shared|b^other for (a, b) = (v, w), (w, v) and Bob's v|w; any other pair gives both sides' v|w
+    anticommutator, Alice's on distinguished reflections.
+    """
+    game, q = STANDARD_GAME, _QUESTION_INDEX
+    comm, anti = {"alice": [], "bob": []}, {"alice": [], "bob": []}
+    for (iv, v), (iw, w) in combinations(enumerate(game.vertices), 2):
+        shared = set(game.contexts_of(v)) & set(game.contexts_of(w))
+        if shared:
+            (s,) = shared
             for a, b in ((v, w), (w, v)):
-                other = next(j for j in r.game.contexts_of(b) if j != shared)
-                lhs = r.alice[shared][a] @ r.alice[other][b] @ L
-                rhs = r.alice[other][b] @ r.alice[shared][a] @ L
-                comm_alice[f"{a}^{shared}|{b}^{other}"] = frobenius_norm(lhs - rhs)
-            comm_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] - L @ r.bob[v] @ r.bob[w])
+                (other,) = set(game.contexts_of(b)) - shared
+                comm["alice"].append((f"{a}^{s}|{b}^{other}", q[s, a], q[other, b]))
+            comm["bob"].append((f"{v}|{w}", iv, iw))
         else:
-            anti_alice[f"{v}|{w}"] = frobenius_norm(
-                dist.r[v] @ dist.r[w] @ L + dist.r[w] @ dist.r[v] @ L
-            )
-            anti_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] + L @ r.bob[v] @ r.bob[w])
-    return (
-        {"alice": comm_alice, "bob": comm_bob},
-        {"alice": anti_alice, "bob": anti_bob},
-    )
+            anti["alice"].append((f"{v}|{w}", q[DISTINGUISHED_CONTEXT[v], v], q[DISTINGUISHED_CONTEXT[w], w]))
+            anti["bob"].append((f"{v}|{w}", iv, iw))
+    return comm, anti
 
 
-def _sampled_change_words(
-    r: ReflectionStrategy, lengths, samples: int, seed: int
-) -> dict[int, float]:
+_COMM_PAIRS, _ANTI_PAIRS = _pair_tables()
+
+
+def _pair_residuals(L: np.ndarray, R: np.ndarray, S: np.ndarray):
+    """Commutator and anticommutator families over vertex pairs, from one row's L, R (20, da, da) and S (10, db, db).
+
+    Each entry is || AB -+ BA || on L, as (A @ B) @ L for Alice and (L @ B) @ A for Bob, pair by pair:
+    stacking a family across its pairs measured slower at d = 32, its temporaries costing more than the loop.
+    """
+    comm, anti = {}, {}
+    sides = (("alice", R, lambda a, b: a @ b @ L), ("bob", S, lambda a, b: L @ b @ a))
+    for side, ops, prod in sides:
+        for out, table, combine in ((comm, _COMM_PAIRS, np.subtract), (anti, _ANTI_PAIRS, np.add)):
+            out[side] = {
+                key: frobenius_norm(combine(prod(ops[i], ops[j]), prod(ops[j], ops[i]))) for key, i, j in table[side]
+            }
+    return comm, anti
+
+
+def _sampled_change_words(L: np.ndarray, R: np.ndarray, lengths, samples: int, seed: int) -> dict[int, float]:
     """Worst sampled residual of multi-step context swaps, per word length.
 
     For each length n, `samples` vertex words are drawn uniformly with an
     independent uniform context choice per side and per position; exhausting
     all words is combinatorially infeasible, so the certificate reports the
-    sampled maximum of || prod R[j_i][v_i] L - prod R[j'_i][v_i] L ||.
+    sampled maximum of || prod R[j_i][v_i] L - prod R[j'_i][v_i] L ||, on one
+    row's stacks.  A sample draws its n vertices, then (n, 2) bits: row k holds
+    the left and right choice at position n-1-k, bit 1 picking the first context.
     """
     rng = np.random.default_rng(seed)
-    verts = r.game.vertices
     out: dict[int, float] = {}
     for n in lengths:
         worst = 0.0
         for _ in range(samples):
-            vs = rng.choice(verts, size=n)
-            lhs, rhs = r.L.copy(), r.L.copy()
-            for v in reversed(vs):
-                j1, j2 = r.game.contexts_of(int(v))
-                left = r.alice[j1 if rng.integers(2) else j2][int(v)]
-                right = r.alice[j1 if rng.integers(2) else j2][int(v)]
-                lhs = left @ lhs
-                rhs = right @ rhs
+            vs = rng.choice(len(_VERTEX_QUESTIONS), size=n)
+            bits = rng.integers(2, size=(n, 2))
+            lhs = rhs = L
+            for left, right in _VERTEX_QUESTIONS[vs[::-1, None], 1 - bits]:
+                lhs = R[left] @ lhs
+                rhs = R[right] @ rhs
             worst = max(worst, frobenius_norm(lhs - rhs))
         out[int(n)] = worst
     return out
@@ -390,9 +427,11 @@ def certify(
     sweep reports come from _core, run here on one row; the context-change,
     pair and change-word families are added here.
     """
-    (report,), (epsilon,), consistency, ops, (extraction,) = _core(*_stacks(r))
+    L, alice, bob = _stacks(r)
+    (report,), (epsilon,), consistency, ops, (extraction,) = _core(L, alice, bob)
     consistency = dict(zip(r.game.questions(), map(float, consistency[0])))
-    comm, anti = _pair_residuals(r)
+    L, R, S = L[0], _question_stacks(alice, bob)[0][0], bob[0]
+    comm, anti = _pair_residuals(L, R, S)
     bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
 
     return RigidityReport(
@@ -402,10 +441,10 @@ def certify(
         junk=extraction.junk,
         op_residuals=dict(zip(_OP_KEYS, map(float, ops[0]))),
         consistency_residuals=consistency,
-        context_change_residuals=context_change_residuals(r),
+        context_change_residuals=dict(zip(r.game.vertices, map(float, _context_changes(L, R)))),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals=_sampled_change_words(r, change_word_lengths, change_word_samples, sample_seed),
+        change_word_residuals=_sampled_change_words(L, R, change_word_lengths, change_word_samples, sample_seed),
         consistency_bound_ok=all(res <= bound for res in consistency.values()),
         validation=report,
     )

@@ -51,22 +51,6 @@ from .linalg import (
     matrix_to_json,
 )
 
-# Context hosting the distinguished reflection of each vertex (each vertex
-# lies on two contexts; one is singled out so that statements about "the"
-# reflection of a vertex are unambiguous).
-DISTINGUISHED_CONTEXT = {
-    1: "G", 2: "G", 3: "E", 4: "F", 5: "E",
-    6: "E", 7: "F", 8: "D", 9: "D", 10: "C",
-}
-
-# Vertex assignments of the simulated Pauli pairs.  Indices 1..3 are Alice's
-# registers (operators drawn from the distinguished reflections), 4..6 Bob's
-# (operators drawn from S).  For each register the X/Z pair sits on
-# non-adjacent vertices, every cross pair on adjacent ones, which is exactly
-# the (anti)commutation pattern of the Paulis they emulate.
-X_PRIME_VERTEX = {1: 6, 2: 5, 3: 7, 4: 6, 5: 5, 6: 7}
-Z_PRIME_VERTEX = {1: 10, 2: 9, 3: 8, 4: 10, 5: 9, 6: 8}
-
 # Per-vertex observables of the ideal strategy on three qubits.  Single-qubit
 # Paulis sit on vertices 5..10; the vertices of the odd context G carry the
 # three-fold products forced by the context product constraints.
@@ -183,15 +167,6 @@ class StrategyValidationError(InvalidStrategyError):
         super().__init__(f"strategy failed validation at tol={report.tol}: {failing}")
 
 
-@dataclass
-class DistinguishedReflections:
-    """One reflection per vertex plus the twelve simulated Pauli operators."""
-
-    r: dict[int, np.ndarray]
-    x_prime: dict[int, np.ndarray]
-    z_prime: dict[int, np.ndarray]
-
-
 def ideal_strategy() -> ReflectionStrategy:
     """The perfect strategy: three shared EPR pairs, real Pauli observables.
 
@@ -221,6 +196,11 @@ def _stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Bob's stack index of each question's vertex, in game.questions() order.
 _QUESTION_VERTEX = [STANDARD_GAME.vertices.index(v) for _, v in STANDARD_GAME.questions()]
+# Each question's index in that order, and each vertex's two questions, its contexts in name order.
+_QUESTION_INDEX = {q: i for i, q in enumerate(STANDARD_GAME.questions())}
+_VERTEX_QUESTIONS = np.array(
+    [[_QUESTION_INDEX[j, v] for j in STANDARD_GAME.contexts_of(v)] for v in STANDARD_GAME.vertices]
+)
 
 
 def _question_stacks(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,20 +391,6 @@ def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
     bob = {v: p.bob[v][0] - p.bob[v][1] for v in p.game.vertices}
     L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
     return ReflectionStrategy(L=L, alice=alice, bob=bob)
-
-
-def select_distinguished(r: ReflectionStrategy) -> DistinguishedReflections:
-    """Pick the fixed per-vertex reflections and the simulated Pauli table."""
-    dist = {v: r.alice[DISTINGUISHED_CONTEXT[v]][v] for v in r.game.vertices}
-    x_prime: dict[int, np.ndarray] = {}
-    z_prime: dict[int, np.ndarray] = {}
-    for i in (1, 2, 3):
-        x_prime[i] = dist[X_PRIME_VERTEX[i]]
-        z_prime[i] = dist[Z_PRIME_VERTEX[i]]
-    for i in (4, 5, 6):
-        x_prime[i] = r.bob[X_PRIME_VERTEX[i]]
-        z_prime[i] = r.bob[Z_PRIME_VERTEX[i]]
-    return DistinguishedReflections(r=dist, x_prime=x_prime, z_prime=z_prime)
 
 
 def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:

@@ -411,3 +411,29 @@ class TestGoldenStudy:
         assert (code, err) == (0, "")
         assert rows.read_bytes() == (self.DATA / f"study-{mode}.csv").read_bytes()
         assert fit.read_bytes() == (self.DATA / f"fit-{mode}.json").read_bytes()
+
+
+class TestGoldenCertificate:
+    """certify's report pinned byte for byte.
+
+    tests/data holds the report of `certify` on the ideal strategy, which
+    both file formats give, and on `perturb --delta 0.01 --seed 5` in each
+    format, as written while certify's context-change, pair and change-word
+    families still read the dict-of-dicts strategy.  A change that moves a
+    byte regenerates them on purpose and logs why.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    @pytest.mark.parametrize("fmt", ["reflection", "projective"])
+    @pytest.mark.parametrize("strategy", ["ideal", "perturb"])
+    def test_bytes_unchanged(self, capsys, tmp_path, strategy, fmt):
+        src, report = tmp_path / "strategy.json", tmp_path / "report.json"
+        if strategy == "ideal":
+            argv, golden = ["export-ideal"], "certificate-ideal.json"
+        else:
+            argv, golden = ["perturb", "--delta", "0.01", "--seed", "5"], f"certificate-perturb-{fmt}.json"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(src))[0] == 0
+        code, _, err = run(capsys, "certify", "--in", str(src), "--out", str(report))
+        assert (code, err) == (0, "")
+        assert report.read_bytes() == (self.DATA / golden).read_bytes()

@@ -2,15 +2,16 @@
 
 Each reference below is the earlier loop form, kept verbatim apart from
 names and docstrings, the way test_rigidity keeps the dense Kronecker
-isometry; so is the per-row certificate core that the stacked core
-replaced.  The stacked
-kernels run the same floating-point operations in the same order, so every
-comparison is exact: `==` on floats and np.array_equal on matrices, with no
-tolerance.
+isometry; so are the per-row certificate core that the stacked core
+replaced, the dict-of-dicts pair and change-word families that certify now
+reads from stacks, and the distinguished-reflection table they and the dense
+reference read.  The stacked kernels run the same floating-point operations
+in the same order, so every comparison is exact: `==` on floats and
+np.array_equal on matrices, with no tolerance.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,29 +24,33 @@ from pentagram.optimize import (
     PerturbationSpec,
     _apply,
     _draw,
-    _perturbed,
     bob_best_response,
+    perturb_ideal,
     random_strategy,
 )
 from pentagram.rigidity import (
     _OP_KEYS,
+    DISTINGUISHED_CONTEXT,
     PHI_TRIPLE,
+    X_PRIME_VERTEX,
+    Z_PRIME_VERTEX,
     StateExtraction,
     _ancilla_pauli,
     _check_reflection,
     _core,
+    _pair_residuals,
+    _sampled_change_words,
     consistency_residuals,
     context_change_residuals,
 )
 from pentagram.strategies import (
-    DistinguishedReflections,
     ReflectionStrategy,
     ValidationReport,
+    _question_stacks,
     _stacks,
     _standard_strategy,
     ideal_strategy,
     losing_terms,
-    select_distinguished,
     validate,
 )
 
@@ -170,6 +175,77 @@ def ref_context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
     return out
 
 
+@dataclass
+class DistinguishedReflections:
+    """One reflection per vertex plus the twelve simulated Pauli operators."""
+
+    r: dict[int, np.ndarray]
+    x_prime: dict[int, np.ndarray]
+    z_prime: dict[int, np.ndarray]
+
+
+def ref_select_distinguished(r: ReflectionStrategy) -> DistinguishedReflections:
+    dist = {v: r.alice[DISTINGUISHED_CONTEXT[v]][v] for v in r.game.vertices}
+    x_prime: dict[int, np.ndarray] = {}
+    z_prime: dict[int, np.ndarray] = {}
+    for i in (1, 2, 3):
+        x_prime[i] = dist[X_PRIME_VERTEX[i]]
+        z_prime[i] = dist[Z_PRIME_VERTEX[i]]
+    for i in (4, 5, 6):
+        x_prime[i] = r.bob[X_PRIME_VERTEX[i]]
+        z_prime[i] = r.bob[Z_PRIME_VERTEX[i]]
+    return DistinguishedReflections(r=dist, x_prime=x_prime, z_prime=z_prime)
+
+
+def ref_pair_residuals(r: ReflectionStrategy):
+    dist = ref_select_distinguished(r)
+    comm_alice: dict[str, float] = {}
+    comm_bob: dict[str, float] = {}
+    anti_alice: dict[str, float] = {}
+    anti_bob: dict[str, float] = {}
+    L = r.L
+    for v, w in combinations(r.game.vertices, 2):
+        if r.game.adjacent(v, w):
+            shared = next(j for j in r.game.context_names if {v, w} <= set(r.game.contexts[j]))
+            for a, b in ((v, w), (w, v)):
+                other = next(j for j in r.game.contexts_of(b) if j != shared)
+                lhs = r.alice[shared][a] @ r.alice[other][b] @ L
+                rhs = r.alice[other][b] @ r.alice[shared][a] @ L
+                comm_alice[f"{a}^{shared}|{b}^{other}"] = frobenius_norm(lhs - rhs)
+            comm_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] - L @ r.bob[v] @ r.bob[w])
+        else:
+            anti_alice[f"{v}|{w}"] = frobenius_norm(
+                dist.r[v] @ dist.r[w] @ L + dist.r[w] @ dist.r[v] @ L
+            )
+            anti_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] + L @ r.bob[v] @ r.bob[w])
+    return (
+        {"alice": comm_alice, "bob": comm_bob},
+        {"alice": anti_alice, "bob": anti_bob},
+    )
+
+
+def ref_sampled_change_words(
+    r: ReflectionStrategy, lengths, samples: int, seed: int
+) -> dict[int, float]:
+    rng = np.random.default_rng(seed)
+    verts = r.game.vertices
+    out: dict[int, float] = {}
+    for n in lengths:
+        worst = 0.0
+        for _ in range(samples):
+            vs = rng.choice(verts, size=n)
+            lhs, rhs = r.L.copy(), r.L.copy()
+            for v in reversed(vs):
+                j1, j2 = r.game.contexts_of(int(v))
+                left = r.alice[j1 if rng.integers(2) else j2][int(v)]
+                right = r.alice[j1 if rng.integers(2) else j2][int(v)]
+                lhs = left @ lhs
+                rhs = right @ rhs
+            worst = max(worst, frobenius_norm(lhs - rhs))
+        out[int(n)] = worst
+    return out
+
+
 # The per-row certificate core: a tensordot isometry circuit, one word at a
 # time, and an einsum extraction whose contraction order is searched per call.
 
@@ -207,7 +283,7 @@ class RefImages:
 
 
 def ref_images(r: ReflectionStrategy, sides=("alice", "bob")) -> RefImages:
-    dist = select_distinguished(r)
+    dist = ref_select_distinguished(r)
     out = {}
     for side in sides:
         regs = REF_REGISTERS[side]
@@ -280,14 +356,29 @@ def assert_same_strategy(a: ReflectionStrategy, b: ReflectionStrategy):
         assert np.array_equal(a.bob[v], b.bob[v]), v
 
 
+def ordered(families: dict) -> list:
+    """Nested dicts as lists of items, so that == also compares key order, which a report's bytes keep."""
+    return [(k, ordered(v) if isinstance(v, dict) else v) for k, v in families.items()]
+
+
+def row_stacks(r: ReflectionStrategy):
+    """certify's one-row stacks: L (da, db), questions R (20, da, da) and Bob's S (10, db, db)."""
+    L, alice, bob = _stacks(r)
+    return L[0], _question_stacks(alice, bob)[0][0], bob[0]
+
+
 def assert_kernels_match(r: ReflectionStrategy):
     """Every stacked kernel equals its loop reference on r, exactly."""
     assert losing_terms(r) == ref_losing_terms(r)
     for tol in (STRUCTURE_TOL, 1e-3):
         assert validate(r, tol) == ref_validate(r, tol)
     assert consistency_residuals(r) == ref_consistency_residuals(r)
-    assert context_change_residuals(r) == ref_context_change_residuals(r)
+    assert ordered(context_change_residuals(r)) == ordered(ref_context_change_residuals(r))
     assert_same_strategy(bob_best_response(r), ref_bob_best_response(r))
+    L, R, S = row_stacks(r)
+    assert list(map(ordered, _pair_residuals(L, R, S))) == list(map(ordered, ref_pair_residuals(r)))
+    lengths = (2, 3, 4, 5, 6)
+    assert ordered(_sampled_change_words(L, R, lengths, 20, 0)) == ordered(ref_sampled_change_words(r, lengths, 20, 0))
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -312,7 +403,7 @@ def test_perturbed_matches_loops(mode, delta):
         draw = _draw(seed, mode)
         for d in DELTAS:
             assert_same_strategy(_standard_strategy(*_apply(draw, d)), ref_perturbed(PerturbationSpec(d, seed, mode)))
-        r = _perturbed(PerturbationSpec(delta, seed, mode))
+        r = perturb_ideal(PerturbationSpec(delta, seed, mode))
         assert_same_strategy(r, _standard_strategy(*_apply(draw, delta)))
         assert_kernels_match(r)
 
@@ -326,7 +417,7 @@ def test_random_strategy_matches_loops(seed):
 
 def junk_register_strategy() -> ReflectionStrategy:
     """A d = 32 strategy of the form P (x) I_4 with a random 4x4 junk state."""
-    r = _perturbed(PerturbationSpec(0.05, 9, "combined"))
+    r = _standard_strategy(*_apply(_draw(9, "combined"), 0.05))
     i4 = np.eye(4)
     for j in r.game.context_names:
         r.alice[j] = {v: np.kron(m, i4) for v, m in r.alice[j].items()}
@@ -375,3 +466,13 @@ def test_core_matches_per_row_core(mode):
         assert_core_rows_match(rows)
 
     check()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_change_words_match_loops(seed):
+    # one RNG stream per call: a length of 0 or 0 samples must leave it where the loops leave it
+    r = perturb_ideal(PerturbationSpec(0.05, seed))
+    L, R, _ = row_stacks(r)
+    for lengths, samples in (((2, 3, 4, 5, 6), 20), ((0, 1, 7), 20), ((2, 3, 4, 5, 6), 0)):
+        got = _sampled_change_words(L, R, lengths, samples, seed)
+        assert ordered(got) == ordered(ref_sampled_change_words(r, lengths, samples, seed))

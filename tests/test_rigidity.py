@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pentagram import rigidity
-from pentagram.linalg import BELL_KINDS, PAULI_X, bell_matrix, frobenius_norm
+from pentagram.game import STANDARD_GAME
+from pentagram.linalg import BELL_KINDS, PAULI_X, PAULI_Z, bell_matrix, frobenius_norm, kron_all
 from pentagram.optimize import (
     PerturbationSpec,
     perturb_ideal,
@@ -15,7 +16,10 @@ from pentagram.optimize import (
     random_strategy,
 )
 from pentagram.rigidity import (
+    DISTINGUISHED_CONTEXT,
     PHI_TRIPLE,
+    X_PRIME_VERTEX,
+    Z_PRIME_VERTEX,
     StrategyValidationError,
     build_isometry,
     certify,
@@ -26,7 +30,8 @@ from pentagram.rigidity import (
     report_to_json,
     word_residual,
 )
-from pentagram.strategies import ideal_strategy, score, select_distinguished
+from pentagram.strategies import _stacks, ideal_strategy, score
+from test_loop_references import ref_select_distinguished
 
 
 @pytest.fixture()
@@ -36,7 +41,7 @@ def ideal():
 
 def side_isometry(r, side):
     """build_isometry on the simulated Paulis of one side's three registers."""
-    dist = select_distinguished(r)
+    dist = ref_select_distinguished(r)
     regs = (1, 2, 3) if side == "alice" else (4, 5, 6)
     return build_isometry([dist.x_prime[i] for i in regs], [dist.z_prime[i] for i in regs])
 
@@ -70,6 +75,48 @@ class TestIsometry:
         g = np.random.default_rng(0).standard_normal((4, 4))
         with pytest.raises(ValueError, match="not a reflection"):
             build_isometry([(g + g.T) * 1e200] + good[:2], good)
+
+
+class TestDistinguished:
+    """The simulated Paulis rigidity._primes gathers, against the vertex tables they come from."""
+
+    def test_ideal_table(self, ideal):
+        primes = rigidity._primes(*_stacks(ideal)[1:])
+        np.testing.assert_allclose(primes["alice"][0, 0], kron_all([PAULI_X, np.eye(2), np.eye(2)]), atol=1e-15)
+        np.testing.assert_allclose(primes["alice"][0, 1], kron_all([PAULI_Z, np.eye(2), np.eye(2)]), atol=1e-15)
+        for i in (1, 2, 3):
+            x = X_PRIME_VERTEX[i]
+            np.testing.assert_array_equal(primes["alice"][0, 2 * i - 2], ideal.alice[DISTINGUISHED_CONTEXT[x]][x])
+            np.testing.assert_array_equal(primes["bob"][0, 2 * i - 2], ideal.bob[X_PRIME_VERTEX[i + 3]])
+
+    def test_pair_adjacency_pattern(self):
+        # each register's X/Z pair sits on non-adjacent vertices, all other
+        # pairs among the six simulated operators on adjacent ones
+        game = STANDARD_GAME
+        for i in (1, 2, 3):
+            assert not game.adjacent(X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])
+        verts = {X_PRIME_VERTEX[i] for i in (1, 2, 3)} | {Z_PRIME_VERTEX[i] for i in (1, 2, 3)}
+        pairs = [frozenset((X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])) for i in (1, 2, 3)]
+        for v in verts:
+            for w in verts:
+                if v < w and frozenset((v, w)) not in pairs:
+                    assert game.adjacent(v, w)
+
+    def test_selection_uses_designated_contexts(self):
+        r = perturb_ideal(PerturbationSpec(0.05, 3, "context-unitaries"))
+        primes = rigidity._primes(*_stacks(r)[1:])
+        for k, key in enumerate(rigidity._OP_KEYS):
+            i = int(key[1])
+            v = (X_PRIME_VERTEX if key[0] == "X" else Z_PRIME_VERTEX)[i]
+            side, op = ("alice", r.alice[DISTINGUISHED_CONTEXT[v]][v]) if i <= 3 else ("bob", r.bob[v])
+            np.testing.assert_array_equal(primes[side][0, k % 6], op)
+        # Alice's anticommutators read every vertex's distinguished reflection
+        questions, seen = r.game.questions(), set()
+        for key, i, j in rigidity._ANTI_PAIRS["alice"]:
+            v, w = map(int, key.split("|"))
+            assert (questions[i], questions[j]) == ((DISTINGUISHED_CONTEXT[v], v), (DISTINGUISHED_CONTEXT[w], w))
+            seen |= {v, w}
+        assert seen == set(r.game.vertices)
 
 
 class TestOperatorResiduals:
@@ -290,7 +337,7 @@ class DenseReference:
 
     def __init__(self, r):
         self.r = r
-        self.dist = select_distinguished(r)
+        self.dist = ref_select_distinguished(r)
         self.va = dense_isometry(
             [self.dist.x_prime[i] for i in (1, 2, 3)], [self.dist.z_prime[i] for i in (1, 2, 3)]
         )
@@ -391,8 +438,22 @@ def _negate_g1(r):
 @pytest.mark.parametrize("breaks", [_double_state, _negate_g1], ids=["L-doubled", "G1-negated"])
 @pytest.mark.parametrize(
     "measure",
-    [certify, extract_state, operator_residuals, lambda r: word_residual(r, ["Z4", "X5"]), consistency_residuals],
-    ids=["certify", "extract_state", "operator_residuals", "word_residual", "consistency_residuals"],
+    [
+        certify,
+        extract_state,
+        operator_residuals,
+        lambda r: word_residual(r, ["Z4", "X5"]),
+        consistency_residuals,
+        context_change_residuals,
+    ],
+    ids=[
+        "certify",
+        "extract_state",
+        "operator_residuals",
+        "word_residual",
+        "consistency_residuals",
+        "context_change_residuals",
+    ],
 )
 def test_every_residual_requires_a_valid_strategy(ideal, measure, breaks):
     # neither defect touches Bob's simulated Paulis, which the word uses
@@ -404,7 +465,7 @@ def test_every_residual_requires_a_valid_strategy(ideal, measure, breaks):
 def test_certify_builds_each_isometry_once(monkeypatch):
     # the side of a build is told by its first simulated Pauli, X'_1 or X'_4
     r = perturb_ideal(PerturbationSpec(1e-2, 3))
-    dist = select_distinguished(r)
+    dist = ref_select_distinguished(r)
     sides = []
     original = rigidity._isometries
 

@@ -5,13 +5,11 @@ import pytest
 
 from pentagram import strategies
 from pentagram.game import STANDARD_GAME, PentagramGame, best_classical_strategy, parity_assignments
-from pentagram.linalg import PAULI_X, PAULI_Z, frobenius_norm, kron_all
+from pentagram.linalg import PAULI_Z, frobenius_norm, kron_all
 from pentagram.optimize import PerturbationSpec, calibrate_delta, perturb_ideal, random_strategy
 from pentagram.rigidity import certify
 from pentagram.strategies import (
     IDEAL_OBSERVABLES,
-    X_PRIME_VERTEX,
-    Z_PRIME_VERTEX,
     ProjectiveStrategy,
     ReflectionStrategy,
     StrategyValidationError,
@@ -22,7 +20,6 @@ from pentagram.strategies import (
     projective_to_json,
     reflection_to_json,
     score,
-    select_distinguished,
     strategy_from_json,
     to_projective,
     to_reflection,
@@ -274,40 +271,6 @@ class TestValidationReport:
         ideal.L = 2.0 * ideal.L
         report = validate(ideal, 1e-10)
         assert report.state_norm == pytest.approx(1.0, abs=1e-12)
-
-
-class TestDistinguished:
-    def test_ideal_table(self, ideal):
-        dist = select_distinguished(ideal)
-        np.testing.assert_allclose(dist.x_prime[1], kron_all([PAULI_X, np.eye(2), np.eye(2)]), atol=1e-15)
-        np.testing.assert_allclose(dist.z_prime[1], kron_all([PAULI_Z, np.eye(2), np.eye(2)]), atol=1e-15)
-        for i in (1, 2, 3):
-            np.testing.assert_array_equal(dist.x_prime[i], ideal.alice[_dist_ctx(X_PRIME_VERTEX[i])][X_PRIME_VERTEX[i]])
-            np.testing.assert_array_equal(dist.x_prime[i + 3], ideal.bob[X_PRIME_VERTEX[i + 3]])
-
-    def test_pair_adjacency_pattern(self, game):
-        # each register's X/Z pair sits on non-adjacent vertices, all other
-        # pairs among the six simulated operators on adjacent ones
-        for i in (1, 2, 3):
-            assert not game.adjacent(X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])
-        verts = {X_PRIME_VERTEX[i] for i in (1, 2, 3)} | {Z_PRIME_VERTEX[i] for i in (1, 2, 3)}
-        pairs = [frozenset((X_PRIME_VERTEX[i], Z_PRIME_VERTEX[i])) for i in (1, 2, 3)]
-        for v in verts:
-            for w in verts:
-                if v < w and frozenset((v, w)) not in pairs:
-                    assert game.adjacent(v, w)
-
-    def test_selection_uses_designated_contexts(self):
-        r = perturb_ideal(PerturbationSpec(0.05, 3, "context-unitaries"))
-        dist = select_distinguished(r)
-        for v in r.game.vertices:
-            np.testing.assert_array_equal(dist.r[v], r.alice[_dist_ctx(v)][v])
-
-
-def _dist_ctx(v):
-    from pentagram.strategies import DISTINGUISHED_CONTEXT
-
-    return DISTINGUISHED_CONTEXT[v]
 
 
 class TestSerialization:
