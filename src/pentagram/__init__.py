@@ -33,7 +33,6 @@ from .rigidity import (
     certify,
     consistency_residuals,
     extract_state,
-    operator_residuals,
     report_to_json,
     word_residual,
 )

@@ -26,7 +26,6 @@ from .strategies import (
     losing_terms,
     projective_to_json,
     reflection_to_json,
-    require_valid,
     score,
     strategy_from_json,
     to_projective,
@@ -76,7 +75,6 @@ def _cmd_value(args) -> int:
 
 def _cmd_score(args) -> int:
     r = load_reflection(_read_json(args.infile))
-    require_valid(r)
     print(f"{score(r):.12f}")
     for (j, v), term in losing_terms(r).items():
         print(f"{j} {v} {term:.12f}")

@@ -35,11 +35,13 @@ import numpy as np
 from .linalg import _dagger, _exp_i_eigen, _hermitian_eigendecomposition
 from .rigidity import _core
 from .strategies import (
+    _VERTEX_QUESTIONS,
     ReflectionStrategy,
     _ideal_arrays,
+    _question_stacks,
     _scores,
+    _stacks,
     _standard_strategy,
-    ideal_strategy,
     require_valid,
 )
 
@@ -175,16 +177,14 @@ def random_strategy(seed: int) -> ReflectionStrategy:
     reflections and the shared state are drawn fresh.
     """
     rng = np.random.default_rng(seed)
-    r = ideal_strategy()
-    for j in r.game.context_names:
-        u = haar_unitary(rng, r.dim_a)
-        for v in r.game.contexts[j]:
-            r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
-    for v in r.game.vertices:
-        r.bob[v] = random_reflection(rng, r.dim_b)
-    L = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal((r.dim_a, r.dim_b))
-    r.L = L / np.linalg.norm(L)
-    return r
+    L, alice, bob = _ideal_arrays()
+    alice = alice.copy()
+    for ctx in alice:
+        u = haar_unitary(rng, L.shape[0])
+        ctx[:] = [u @ m @ u.conj().T for m in ctx]
+    bob = np.array([random_reflection(rng, L.shape[1]) for _ in bob])
+    L = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
+    return _standard_strategy(L / np.linalg.norm(L), alice, bob)
 
 
 def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
@@ -196,20 +196,19 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     L^dagger R[j][v] L.  Eigenvalues of W[v] that vanish are mapped to +1 for
     determinism.  The score never decreases.
     """
-    verts = r.game.vertices
-    a = np.array([[r.alice[j][v] for j in r.game.contexts_of(v)] for v in verts])
-    x = r.L.conj().T @ a @ r.L
+    L, alice, bob = _stacks(r)
+    # each vertex's two operators R[j][v], its contexts in name order
+    x = _dagger(L[0]) @ _question_stacks(alice, bob)[0][0, _VERTEX_QUESTIONS] @ L[0]
     # summed onto zeros context by context, not by x.sum: the sign of a zero
     # entry can change what eigh returns
-    w = np.zeros((len(verts), r.dim_b, r.dim_b), dtype=complex)
+    w = np.zeros_like(x[:, 0])
     for c in range(x.shape[1]):
         w += x[:, c]
     w = (w + _dagger(w)) / 2
     vals, vecs = np.linalg.eigh(w)
     signs = np.where(vals >= 0.0, 1.0, -1.0)
-    new_bob = dict(zip(verts, (vecs * signs[:, None, :]) @ _dagger(vecs)))
-    alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
-    return ReflectionStrategy(L=r.L.copy(), alice=alice, bob=new_bob)
+    # L is a view of a complex r.L: the copy keeps the response from sharing it
+    return _standard_strategy(L[0].copy(), alice[0], (vecs * signs[:, None, :]) @ _dagger(vecs))
 
 
 def calibrate_delta(

@@ -20,12 +20,14 @@ Q(i+3) in the Bell decomposition.
 
 Every residual is measured only on a strategy that passes the one gate,
 strategies._require_valid_rows; anything else raises StrategyValidationError.
-Stacked (B, ...) strategies go through one certificate core: a sweep passes
-many rows, certify and the other residual functions one, except that
-word_residual builds only its side's isometry.  No row depends on its batch.
+build_isometry's bare operators pass the gate's own reflection test.
+Strategies are read only through strategies._stacks.  Stacked (B, ...)
+strategies go through one certificate core: a sweep passes many rows,
+certify, extract_state and consistency_residuals one, while word_residual
+runs the gate and builds only its side's isometry.  No row depends on its batch.
 certify builds one strategy's stacks once: the core and its certify-only
-families (context changes, pair commutators and anticommutators, sampled
-change words) all read them, through index tables built at import.
+families (context changes, pair commutators and anticommutators, a fixed
+sample of change words) all read them, through index tables built at import.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ from .strategies import (
     _QUESTION_INDEX,
     _VERTEX_QUESTIONS,
     ReflectionStrategy,
-    StrategyValidationError,  # raised by certify and the residual functions, so importable from here too
     ValidationReport,
     _losing_terms,
     _question_stacks,
+    _reflection_deviations,
     _require_valid_rows,
     _stacks,
+    _valid_stacks,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
@@ -100,19 +103,6 @@ class RigidityReport:
         return max(self.consistency_residuals.values())
 
 
-def _check_reflection(m: np.ndarray) -> None:
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"reflections must be square, got {m.shape}")
-    # np.max, unlike max(), keeps a NaN deviation, which then fails, so an
-    # overflow needs no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.max([frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n))])
-    if not dev <= STRUCTURE_TOL:
-        raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
-
-
 def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
     """Apply each row's u to the original-space axis of t where ancilla k is |1>, in place."""
     one = (slice(None),) * (k + 1) + (1,)
@@ -143,13 +133,15 @@ def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray]) -> np.ndarr
     """
     if len(x_ops) != 3 or len(z_ops) != 3:
         raise ValueError("expected exactly 3 X-type and 3 Z-type reflections")
-    x_ops, z_ops = [as_matrix(m) for m in x_ops], [as_matrix(m) for m in z_ops]
-    for m in (*x_ops, *z_ops):
-        _check_reflection(m)
-    d = x_ops[0].shape[0]
-    if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
-        raise ValueError("all reflections must share one dimension")
-    return _isometries(np.array([m for pair in zip(x_ops, z_ops) for m in pair])[None])[0]
+    ops = [as_matrix(m) for pair in zip(x_ops, z_ops) for m in pair]
+    d = ops[0].shape[0]
+    if any(m.shape != (d, d) for m in ops):
+        raise ValueError(f"reflections must be square and share one dimension, got {[m.shape for m in ops]}")
+    primes = np.array(ops)
+    dev = np.max(_reflection_deviations(primes))  # np.max, unlike max(), keeps a NaN, which then fails
+    if not dev <= STRUCTURE_TOL:
+        raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
+    return _isometries(primes[None])[0]
 
 
 # Context hosting the distinguished reflection of each vertex (each vertex
@@ -237,17 +229,6 @@ def _operator_residuals(L: np.ndarray, primes: dict, images: dict) -> np.ndarray
     return np.stack([_word_residual(side, L, primes, images, word) for side, word in words], axis=1)
 
 
-def operator_residuals(r: ReflectionStrategy) -> dict[str, float]:
-    """Simulation error of each ancilla Pauli against its strategy operator.
-
-    Keys X1..Z3 measure || P_i (V_A L) - V_A (O'_i L) || on Alice's side;
-    keys X4..Z6 measure || (L V_B^dagger) P_i - (L O'_i) V_B^dagger || on
-    Bob's, where P_i is the ancilla Pauli and O'_i the simulated operator.
-    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
-    """
-    return dict(zip(_OP_KEYS, map(float, _core(*_stacks(r))[3][0])))
-
-
 def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
     if not word:
         raise ValueError("word must be nonempty")
@@ -270,8 +251,7 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     side, parsed = _parse_word(word)
-    L, alice, bob = _stacks(r)
-    _require_valid_rows(L, alice, bob)
+    L, alice, bob = _valid_stacks(r)
     primes = _primes(alice, bob)
     return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
 
@@ -316,16 +296,6 @@ def _context_changes(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _frobenius_norms(x[:, 0] - x[:, 1])
 
 
-def context_change_residuals(r: ReflectionStrategy) -> dict[int, float]:
-    """|| R[j][v] L - R[j'][v] L || over each vertex's two contexts.
-
-    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
-    """
-    L, alice, bob = _stacks(r)
-    _require_valid_rows(L, alice, bob)
-    return dict(zip(r.game.vertices, map(float, _context_changes(L[0], _question_stacks(alice, bob)[0][0]))))
-
-
 def _pair_tables() -> tuple[dict, dict]:
     """Each side's commutator and anticommutator (key, i, j) tables, in vertex-pair order.
 
@@ -368,21 +338,27 @@ def _pair_residuals(L: np.ndarray, R: np.ndarray, S: np.ndarray):
     return comm, anti
 
 
-def _sampled_change_words(L: np.ndarray, R: np.ndarray, lengths, samples: int, seed: int) -> dict[int, float]:
+# certify's fixed change-word sample: the word lengths, the words drawn per length and the seed of the draw.
+_CHANGE_WORD_LENGTHS = (2, 3, 4, 5, 6)
+_CHANGE_WORD_SAMPLES = 20
+_CHANGE_WORD_SEED = 0
+
+
+def _sampled_change_words(L: np.ndarray, R: np.ndarray) -> dict[int, float]:
     """Worst sampled residual of multi-step context swaps, per word length.
 
-    For each length n, `samples` vertex words are drawn uniformly with an
+    For each length n, _CHANGE_WORD_SAMPLES vertex words are drawn uniformly with an
     independent uniform context choice per side and per position; exhausting
     all words is combinatorially infeasible, so the certificate reports the
     sampled maximum of || prod R[j_i][v_i] L - prod R[j'_i][v_i] L ||, on one
     row's stacks.  A sample draws its n vertices, then (n, 2) bits: row k holds
     the left and right choice at position n-1-k, bit 1 picking the first context.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHANGE_WORD_SEED)
     out: dict[int, float] = {}
-    for n in lengths:
+    for n in _CHANGE_WORD_LENGTHS:
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(_CHANGE_WORD_SAMPLES):
             vs = rng.choice(len(_VERTEX_QUESTIONS), size=n)
             bits = rng.integers(2, size=(n, 2))
             lhs = rhs = L
@@ -412,12 +388,7 @@ def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     return reports, epsilon, _frobenius_norms(consistency), ops, _extract_states(images)
 
 
-def certify(
-    r: ReflectionStrategy,
-    change_word_lengths=(2, 3, 4, 5, 6),
-    change_word_samples: int = 20,
-    sample_seed: int = 0,
-) -> RigidityReport:
+def certify(r: ReflectionStrategy) -> RigidityReport:
     """Assemble the full rigidity certificate for one strategy.
 
     Validates the strategy at STRUCTURE_TOL first (raising
@@ -425,7 +396,8 @@ def certify(
     along with the state extraction, and checks the hard per-question bound
     consistency <= sqrt(80 epsilon) + BOUND_SLACK.  The families a scaling
     sweep reports come from _core, run here on one row; the context-change,
-    pair and change-word families are added here.
+    pair and change-word families are added here.  The change words are one
+    fixed sample, so a report depends only on r and the package version.
     """
     L, alice, bob = _stacks(r)
     (report,), (epsilon,), consistency, ops, (extraction,) = _core(L, alice, bob)
@@ -444,7 +416,7 @@ def certify(
         context_change_residuals=dict(zip(r.game.vertices, map(float, _context_changes(L, R)))),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals=_sampled_change_words(L, R, change_word_lengths, change_word_samples, sample_seed),
+        change_word_residuals=_sampled_change_words(L, R),
         consistency_bound_ok=all(res <= bound for res in consistency.values()),
         validation=report,
     )

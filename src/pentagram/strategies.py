@@ -221,10 +221,10 @@ def _losing_terms(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[lis
 def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     """Disagreement probability of each of the 20 questions.
 
-    One minus the score equals the mean of this table.  All 20 projector
-    products run as one stacked pass.
+    One minus the score equals the mean of this table; all 20 projector products run as one stacked
+    pass.  Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return dict(zip(r.game.questions(), _losing_terms(*_stacks(r))[0]))
+    return dict(zip(r.game.questions(), _losing_terms(*_valid_stacks(r))[0]))
 
 
 def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
@@ -233,8 +233,8 @@ def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
 
 
 def score(r: ReflectionStrategy) -> float:
-    """Winning probability of a valid reflection strategy."""
-    return _scores(*_stacks(r))[0]
+    """Winning probability of r, raising StrategyValidationError unless r validates at STRUCTURE_TOL."""
+    return _scores(*_valid_stacks(r))[0]
 
 
 # The six vertex pairs (a, b), a < b, of a four-vertex context.
@@ -244,6 +244,15 @@ _PAIRS_A, _PAIRS_B = np.triu_indices(4, k=1)
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
+def _reflection_deviations(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity || A - A^dagger || and involution || A A - I || of each matrix of a (..., d, d) stack."""
+    # a matrix is a reflection at STRUCTURE_TOL when both are at most it; an overflow shows as inf or NaN, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = A @ A
+        sq -= np.eye(A.shape[-1])
+        return _frobenius_norms(A - _dagger(A)), _frobenius_norms(sq)
 
 
 def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
@@ -264,12 +273,10 @@ def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float
     # need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         herm, invol, comm = [], [], []
-        # in place and pair by pair: smaller temporaries, for d = 32 and long stacks
         for A in (bob, alice):
-            herm.append(_frobenius_norms(A - _dagger(A)).reshape(n, -1))
-            sq = A @ A
-            sq -= np.eye(A.shape[-1])
-            invol.append(_frobenius_norms(sq).reshape(n, -1))
+            for devs, dev in zip((herm, invol), _reflection_deviations(A)):
+                devs.append(dev.reshape(n, -1))
+        # in place and pair by pair: smaller temporaries, for d = 32 and long stacks
         for i, j in zip(_PAIRS_A, _PAIRS_B):
             c = alice[:, :, i] @ alice[:, :, j]
             c -= alice[:, :, j] @ alice[:, :, i]
@@ -297,6 +304,13 @@ def _require_valid_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> li
 def require_valid(r: ReflectionStrategy) -> ValidationReport:
     """validate(r, STRUCTURE_TOL), raising StrategyValidationError unless it passes."""
     return _require_valid_rows(*_stacks(r))[0]
+
+
+def _valid_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_stacks(r), once they have passed the one gate."""
+    stacks = _stacks(r)
+    _require_valid_rows(*stacks)
+    return stacks
 
 
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
@@ -400,12 +414,9 @@ def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
     the classical winning probability exactly.
     """
     game = STANDARD_GAME
-    alice = {
-        j: {v: np.array([[strategy.alice[j][v]]], dtype=complex) for v in game.contexts[j]}
-        for j in game.context_names
-    }
-    bob = {v: np.array([[strategy.bob[v]]], dtype=complex) for v in game.vertices}
-    return ReflectionStrategy(L=np.eye(1, dtype=complex), alice=alice, bob=bob)
+    alice = np.array([[strategy.alice[j][v] for v in game.contexts[j]] for j in game.context_names], dtype=complex)
+    bob = np.array([strategy.bob[v] for v in game.vertices], dtype=complex)
+    return _standard_strategy(np.eye(1, dtype=complex), alice[..., None, None], bob[..., None, None])
 
 
 def reflection_to_json(r: ReflectionStrategy) -> dict:

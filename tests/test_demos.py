@@ -1,11 +1,16 @@
-"""Every demo script runs to completion against the installed package."""
+"""Every demo script runs to completion and prints its pinned output.
+
+tests/data/demo-<name>.txt holds each demo's stdout byte for byte.  A change
+that moves a byte regenerates the file on purpose and logs why.
+"""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -15,4 +20,5 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    golden = ROOT / "tests" / "data" / f"demo-{path.stem}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

@@ -4,10 +4,11 @@ Each reference below is the earlier loop form, kept verbatim apart from
 names and docstrings, the way test_rigidity keeps the dense Kronecker
 isometry; so are the per-row certificate core that the stacked core
 replaced, the dict-of-dicts pair and change-word families that certify now
-reads from stacks, and the distinguished-reflection table they and the dense
-reference read.  The stacked kernels run the same floating-point operations
-in the same order, so every comparison is exact: `==` on floats and
-np.array_equal on matrices, with no tolerance.
+reads from stacks, the distinguished-reflection table they and the dense
+reference read, the per-matrix reflection check the isometry reference
+runs, and the dict-of-dicts random strategy.  The stacked kernels run the
+same floating-point operations in the same order, so every comparison is
+exact: `==` on floats and np.array_equal on matrices, with no tolerance.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,9 @@ from pentagram.optimize import (
     _apply,
     _draw,
     bob_best_response,
+    haar_unitary,
     perturb_ideal,
+    random_reflection,
     random_strategy,
 )
 from pentagram.rigidity import (
@@ -36,12 +39,11 @@ from pentagram.rigidity import (
     Z_PRIME_VERTEX,
     StateExtraction,
     _ancilla_pauli,
-    _check_reflection,
+    _context_changes,
     _core,
     _pair_residuals,
     _sampled_change_words,
     consistency_residuals,
-    context_change_residuals,
 )
 from pentagram.strategies import (
     ReflectionStrategy,
@@ -99,6 +101,20 @@ def ref_perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
         w /= np.linalg.norm(w)
         L = r.L + spec.delta * w
         r.L = L / np.linalg.norm(L)
+    return r
+
+
+def ref_random_strategy(seed: int) -> ReflectionStrategy:
+    rng = np.random.default_rng(seed)
+    r = ideal_strategy()
+    for j in r.game.context_names:
+        u = haar_unitary(rng, r.dim_a)
+        for v in r.game.contexts[j]:
+            r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
+    for v in r.game.vertices:
+        r.bob[v] = random_reflection(rng, r.dim_b)
+    L = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal((r.dim_a, r.dim_b))
+    r.L = L / np.linalg.norm(L)
     return r
 
 
@@ -250,6 +266,19 @@ def ref_sampled_change_words(
 # time, and an einsum extraction whose contraction order is searched per call.
 
 
+def ref_check_reflection(m: np.ndarray) -> None:
+    m = as_matrix(m)
+    n = m.shape[0]
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"reflections must be square, got {m.shape}")
+    # np.max, unlike max(), keeps a NaN deviation, which then fails, so an
+    # overflow needs no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max([frobenius_norm(m - m.conj().T), frobenius_norm(m @ m - np.eye(n))])
+    if not dev <= STRUCTURE_TOL:
+        raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
+
+
 def ref_controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
     one = (slice(None),) * k + (1,)
     t[one] = np.tensordot(u, t[one], axes=1)
@@ -260,7 +289,7 @@ def ref_build_isometry(x_ops, z_ops) -> np.ndarray:
         raise ValueError("expected exactly 3 X-type and 3 Z-type reflections")
     x_ops, z_ops = [as_matrix(m) for m in x_ops], [as_matrix(m) for m in z_ops]
     for m in (*x_ops, *z_ops):
-        _check_reflection(m)
+        ref_check_reflection(m)
     d = x_ops[0].shape[0]
     if any(m.shape != (d, d) for m in (*x_ops, *z_ops)):
         raise ValueError("all reflections must share one dimension")
@@ -361,6 +390,10 @@ def ordered(families: dict) -> list:
     return [(k, ordered(v) if isinstance(v, dict) else v) for k, v in families.items()]
 
 
+# certify's fixed change-word sample: lengths, words per length, seed
+CHANGE_WORDS = ((2, 3, 4, 5, 6), 20, 0)
+
+
 def row_stacks(r: ReflectionStrategy):
     """certify's one-row stacks: L (da, db), questions R (20, da, da) and Bob's S (10, db, db)."""
     L, alice, bob = _stacks(r)
@@ -373,12 +406,12 @@ def assert_kernels_match(r: ReflectionStrategy):
     for tol in (STRUCTURE_TOL, 1e-3):
         assert validate(r, tol) == ref_validate(r, tol)
     assert consistency_residuals(r) == ref_consistency_residuals(r)
-    assert ordered(context_change_residuals(r)) == ordered(ref_context_change_residuals(r))
     assert_same_strategy(bob_best_response(r), ref_bob_best_response(r))
     L, R, S = row_stacks(r)
+    changes = dict(zip(r.game.vertices, map(float, _context_changes(L, R))))
+    assert ordered(changes) == ordered(ref_context_change_residuals(r))
     assert list(map(ordered, _pair_residuals(L, R, S))) == list(map(ordered, ref_pair_residuals(r)))
-    lengths = (2, 3, 4, 5, 6)
-    assert ordered(_sampled_change_words(L, R, lengths, 20, 0)) == ordered(ref_sampled_change_words(r, lengths, 20, 0))
+    assert ordered(_sampled_change_words(L, R)) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -413,6 +446,11 @@ def test_perturbed_matches_loops(mode, delta):
 @pytest.mark.parametrize("seed", range(6))
 def test_random_strategy_matches_loops(seed):
     assert_kernels_match(random_strategy(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_strategy_matches_dict_form(seed):
+    assert_same_strategy(random_strategy(seed), ref_random_strategy(seed))
 
 
 def junk_register_strategy() -> ReflectionStrategy:
@@ -470,9 +508,6 @@ def test_core_matches_per_row_core(mode):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_change_words_match_loops(seed):
-    # one RNG stream per call: a length of 0 or 0 samples must leave it where the loops leave it
     r = perturb_ideal(PerturbationSpec(0.05, seed))
     L, R, _ = row_stacks(r)
-    for lengths, samples in (((2, 3, 4, 5, 6), 20), ((0, 1, 7), 20), ((2, 3, 4, 5, 6), 0)):
-        got = _sampled_change_words(L, R, lengths, samples, seed)
-        assert ordered(got) == ordered(ref_sampled_change_words(r, lengths, samples, seed))
+    assert ordered(_sampled_change_words(L, R)) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))

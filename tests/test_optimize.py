@@ -17,8 +17,8 @@ from pentagram.optimize import (
     rows_to_csv,
     scaling_study,
 )
-from pentagram.rigidity import StrategyValidationError, certify
-from pentagram.strategies import _standard_strategy, ideal_strategy, score, validate
+from pentagram.rigidity import certify
+from pentagram.strategies import StrategyValidationError, _standard_strategy, ideal_strategy, score, validate
 
 
 def _strategies_equal(a, b):
@@ -120,6 +120,24 @@ class TestBobBestResponse:
     def test_output_is_valid(self):
         r = bob_best_response(random_strategy(4))
         assert validate(r, 1e-10).passed
+
+
+def test_results_share_no_memory_with_their_inputs():
+    # a complex L reaches bob_best_response's stacks as a view, and
+    # random_strategy starts from the read-only ideal arrays
+    r = random_strategy(3)
+    before = [r.L.copy(), r.alice["C"][2].copy()]
+    br = bob_best_response(r)
+    br.L[0, 0] += 1.0
+    br.alice["C"][2][0, 0] += 1.0
+    assert np.array_equal(r.L, before[0])
+    assert np.array_equal(r.alice["C"][2], before[1])
+    ideal = ideal_strategy()
+    s = random_strategy(4)
+    s.L[0, 0] += 1.0
+    s.alice["C"][2][0, 0] += 1.0
+    s.bob[2][0, 0] += 1.0
+    assert _strategies_equal(ideal_strategy(), ideal)
 
 
 class TestCalibration:
