@@ -22,8 +22,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-CONTEXT_ORDER = ("C", "D", "E", "F", "G")
-
 # Vertex incidence of the pentagram.  Relabelled games serve the classical
 # analysis; strategies are over STANDARD_GAME only.
 STANDARD_CONTEXTS = {

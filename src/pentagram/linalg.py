@@ -82,26 +82,6 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitian_eigendecomposition(a):
-    """Eigendecomposition a = V diag(w) V^dagger of a Hermitian matrix.
-
-    A (..., n, n) stack is decomposed matrix by matrix in one call.
-    Eigenvalues are returned in ascending order.  Raises ValueError if an
-    entry is not finite or a matrix deviates from Hermitian by more than
-    STRUCTURE_TOL in Frobenius norm.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    dev = np.max(_frobenius_norms(a - _dagger(a)), initial=0.0)
-    if not dev <= STRUCTURE_TOL:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {STRUCTURE_TOL:.3e})")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def _exp_i_eigen(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """Unitary exp(i*scale*h) from the eigendecomposition (w, v) of a Hermitian stack h.
 

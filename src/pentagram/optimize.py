@@ -9,10 +9,10 @@ structural, not approximate, and the sub-optimality epsilon grows as
 delta**2 near the optimum.
 
 A perturbation comes in two halves.  The draw holds everything that does
-not depend on delta: the generators, their eigendecompositions and the
-state noise.  Applying it at a scale delta only exponentiates the stored
-eigendecompositions and conjugates.  A calibration draws once and applies
-that draw at every bisection step; no draw outlives the call.
+not depend on delta: the generators (exactly Hermitian, so decomposed
+unchecked), their eigendecompositions and the state noise.  Applying it at
+a scale delta only exponentiates and conjugates.  A calibration draws once
+and applies that draw at every bisection step; no draw outlives the call.
 
 A sweep draws each row from its own child seed, then validates each row once
 and measures only the families its CSV reports (epsilon, consistency,
@@ -32,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dagger, _exp_i_eigen, _hermitian_eigendecomposition
+from .linalg import _dagger, _exp_i_eigen
 from .rigidity import _core
 from .strategies import (
     _VERTEX_QUESTIONS,
     ReflectionStrategy,
     _ideal_arrays,
     _question_stacks,
+    _require_valid_rows,
     _scores,
     _stacks,
     _standard_strategy,
-    require_valid,
 )
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
@@ -88,7 +88,7 @@ class ScalingRow:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """(count, dim, dim) stack of Hermitian matrices with unit operator norm.
+    """(count, dim, dim) stack of exactly Hermitian matrices with unit operator norm.
 
     Each comes from complex Gaussian entries; one draw of shape
     (count, 2, dim, dim) gives every matrix its real then imaginary part, the
@@ -130,7 +130,7 @@ def _draw(seed: int, mode: str):
     w = v = noise = None
     if k:
         # the ideal strategy has dim_a == dim_b, so one draw serves both sides
-        w, v = _hermitian_eigendecomposition(random_hermitian(rng, L.shape[0], k))
+        w, v = np.linalg.eigh(random_hermitian(rng, L.shape[0], k))
     if mode in ("state-noise", "combined"):
         noise = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
         noise /= np.linalg.norm(noise)
@@ -165,9 +165,9 @@ def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     L + delta * W with W Gaussian scaled to unit Frobenius norm.  The result
     passes validation at STRUCTURE_TOL by construction and is checked anyway.
     """
-    r = _standard_strategy(*_apply(_draw(spec.seed, spec.mode), spec.delta))
-    require_valid(r)
-    return r
+    stacks = _apply(_draw(spec.seed, spec.mode), spec.delta)
+    _require_valid_rows(*(x[None] for x in stacks))
+    return _standard_strategy(*stacks)
 
 
 def random_strategy(seed: int) -> ReflectionStrategy:
@@ -211,19 +211,18 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     return _standard_strategy(L[0].copy(), alice[0], (vecs * signs[:, None, :]) @ _dagger(vecs))
 
 
-def calibrate_delta(
-    target_epsilon: float,
-    mode: str = "combined",
-    seed: int = 0,
-    max_iter: int = 60,
-) -> PerturbationSpec:
+# Bisection steps calibrate_delta takes before it reports non-convergence.
+_MAX_BISECTIONS = 60
+
+
+def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0) -> PerturbationSpec:
     """Bisect the perturbation scale until epsilon is within 10% of target.
 
     The generators and state noise of (seed, mode) are drawn once per call,
     so the map delta -> epsilon is a fixed smooth function during the
     search, and each bisection step only exponentiates the stored
     eigendecompositions and scores the result.  The accepted strategy is
-    validated once, by require_valid, before its spec is returned.  Raises
+    validated once, by the one gate, before its spec is returned.  Raises
     CalibrationError when the target is unreachable on [0, 1] or the
     bracket is not monotone.
     """
@@ -240,7 +239,7 @@ def calibrate_delta(
             f"epsilon({hi}) = {e_hi:.3e} is below the target {target_epsilon:.3e} "
             f"for mode={mode}, seed={seed}"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = (lo + hi) / 2
         stacks = _apply(draw, mid)
         e_mid = 1.0 - _scores(*(x[None] for x in stacks))[0]
@@ -249,13 +248,13 @@ def calibrate_delta(
                 f"epsilon is not monotone on the bracket [{lo}, {hi}] (mode={mode}, seed={seed})"
             )
         if abs(e_mid - target_epsilon) <= 0.1 * target_epsilon:
-            require_valid(_standard_strategy(*stacks))
+            _require_valid_rows(*(x[None] for x in stacks))
             return PerturbationSpec(mid, seed, mode)
         if e_mid < target_epsilon:
             lo, e_lo = mid, e_mid
         else:
             hi, e_hi = mid, e_mid
-    raise CalibrationError(f"bisection did not converge within {max_iter} iterations")
+    raise CalibrationError(f"bisection did not converge within {_MAX_BISECTIONS} iterations")
 
 
 def _child_seed(seed: int, delta_index: int, sample_index: int) -> int:
@@ -298,8 +297,7 @@ def scaling_study(
     """
     if samples_per_delta < 0:
         raise ValueError(f"samples_per_delta must be non-negative, got {samples_per_delta}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    PerturbationSpec(1.0, seed, mode)  # rejects a bad seed or mode, even when there are no rows
     deltas = [float(d) for d in deltas]
     bad = [d for d in deltas if not 0.0 < d <= 1.0]
     if bad:

@@ -71,7 +71,6 @@ PHI_TRIPLE = ("phi+", "phi+", "phi+")
 class StateExtraction:
     """Bell decomposition of the isometry image of the shared state."""
 
-    P: np.ndarray
     bell_weights: dict[tuple[str, str, str], float]
     junk: np.ndarray
     state_residual: float
@@ -272,7 +271,7 @@ def _extract_states(images: dict) -> list[StateExtraction]:
         # is the same by Parseval but avoids catastrophic cancellation near zero
         off_target = sum(w for key, w in weights.items() if key != PHI_TRIPLE)
         residual = float(np.sqrt(max(off_target, 0.0)))
-        out.append(StateExtraction(P, weights, comps[0, 0, 0].copy(), residual))
+        out.append(StateExtraction(weights, comps[0, 0, 0].copy(), residual))
     return out
 
 

@@ -15,8 +15,9 @@ strategy every operator is real symmetric, so the distinction vanishes.
 
 A *projective strategy* is the operational form: a shared unit vector psi,
 an 8-outcome projective measurement per context for Alice (outcomes are the
-parity-valid sign assignments) and a binary projective measurement per vertex
-for Bob.  The two forms convert into each other exactly.
+parity-valid sign assignments, in _OUTCOMES order) and a binary projective
+measurement per vertex for Bob.  The two forms convert into each other
+exactly; both conversions and the projective check run on stacks.
 
 Scoring uses the projector form of the losing probability,
 
@@ -44,8 +45,6 @@ from .linalg import (
     STRUCTURE_TOL,
     _dagger,
     _frobenius_norms,
-    as_matrix,
-    frobenius_norm,
     kron_all,
     matrix_from_json,
     matrix_to_json,
@@ -301,16 +300,15 @@ def _require_valid_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> li
     return reports
 
 
-def require_valid(r: ReflectionStrategy) -> ValidationReport:
-    """validate(r, STRUCTURE_TOL), raising StrategyValidationError unless it passes."""
-    return _require_valid_rows(*_stacks(r))[0]
-
-
 def _valid_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_stacks(r), once they have passed the one gate."""
     stacks = _stacks(r)
     _require_valid_rows(*stacks)
     return stacks
+
+
+# Each context's 8 parity-valid outcome bits, (5, 8, 4): contexts in name order, bits over sorted vertices.
+_OUTCOMES = np.array([parity_assignments(STANDARD_GAME, j) for j in STANDARD_GAME.context_names])
 
 
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
@@ -320,59 +318,62 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     vertices of (I + (-1)**t(v) R[j][v])/2; the product is well defined
     because the factors commute, and it vanishes unless the parity of t
     matches the context label.  Bob's projectors split S[v] into its +-1
-    eigenspaces, and psi flattens L.  Raises StrategyValidationError unless r
-    validates at STRUCTURE_TOL.
+    eigenspaces, and psi flattens L.  All factors are built as one stack.
+    Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    require_valid(r)
+    L, alice, bob = _valid_stacks(r)
     da, db = r.dim_a, r.dim_b
-    alice: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
-    for j in r.game.context_names:
-        vs = r.game.contexts[j]
-        outcomes: dict[tuple[int, ...], np.ndarray] = {}
-        for t in parity_assignments(r.game, j):
-            M = np.eye(da, dtype=complex)
-            for bit, v in zip(t, vs):
-                sign = 1.0 if bit == 0 else -1.0
-                M = M @ ((np.eye(da) + sign * r.alice[j][v]) / 2)
-            outcomes[t] = M
-        alice[j] = outcomes
-    bob = {
-        v: (
-            (np.eye(db) + r.bob[v]) / 2,
-            (np.eye(db) - r.bob[v]) / 2,
-        )
-        for v in r.game.vertices
-    }
-    psi = np.asarray(r.L, dtype=complex).ravel().copy()
-    return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
+    # (5, 8, 4, da, da): every outcome's factor for every vertex of its context
+    factors = (np.eye(da) + (1.0 - 2.0 * _OUTCOMES)[..., None, None] * alice[0][:, None]) / 2
+    M = np.eye(da, dtype=complex)
+    for i in range(factors.shape[2]):
+        M = M @ factors[:, :, i]
+    pairs = np.stack([np.eye(db) + bob[0], np.eye(db) - bob[0]], axis=1) / 2
+    alice = {j: dict(zip(map(tuple, ts), Mj)) for j, ts, Mj in zip(r.game.context_names, _OUTCOMES.tolist(), M)}
+    bob = {v: tuple(pair) for v, pair in zip(r.game.vertices, pairs)}
+    return ProjectiveStrategy(psi=L[0].ravel().copy(), dim_a=da, dim_b=db, alice=alice, bob=bob)
+
+
+def _outcome_lists(p: ProjectiveStrategy) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
+    """p's projectors by outcome: Alice's 8 lists (outcome i of each context, in _OUTCOMES order), Bob's 2 (+1, -1).
+
+    Callers stack one list at a time, (5, da, da) or (10, db, db): stacking a whole side raised the peak memory of
+    loading a d = 32 projective file.  Raises InvalidStrategyError naming the first context whose outcome keys are
+    not its parity-valid ones.
+    """
+    names = STANDARD_GAME.context_names
+    for j, ts in zip(names, _OUTCOMES.tolist()):
+        if set(p.alice[j]) != set(map(tuple, ts)):
+            raise InvalidStrategyError(f"context {j}: outcomes must be exactly its 8 parity-valid bit tuples")
+    alice = [[p.alice[j][tuple(t)] for j, t in zip(names, ts)] for ts in _OUTCOMES.swapaxes(0, 1).tolist()]
+    return alice, [[p.bob[v][b] for v in STANDARD_GAME.vertices] for b in (0, 1)]
 
 
 def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
     """Raise InvalidStrategyError when a projective axiom deviates beyond tol.
 
     The deviation is the worst of Hermiticity, idempotence and completeness
-    of every measurement, and | ||psi|| - 1 |.  Raises ValueError unless tol
-    is finite and non-negative.
+    of every measurement, checked on stacks of one outcome each, and
+    | ||psi|| - 1 |.  Raises ValueError unless tol is finite and
+    non-negative, or when a matrix has a non-finite entry.
     """
     _check_tol(tol)
-    devs = []
+    devs = [[abs(float(np.linalg.norm(p.psi)) - 1.0)]]
     # an overflow shows as an inf or NaN deviation, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in p.game.context_names:
-            total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
-            for M in p.alice[j].values():
-                M = as_matrix(M)
-                devs += [frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M)]
-                total += M
-            devs.append(frobenius_norm(total - np.eye(p.dim_a)))
-        for N0, N1 in p.bob.values():
-            for N in (N0, N1):
-                N = as_matrix(N)
-                devs += [frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N)]
-            devs.append(frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
-        devs.append(abs(float(np.linalg.norm(p.psi)) - 1.0))
+        for side in _outcome_lists(p):
+            # summed outcome by outcome onto zero, as a loop over one measurement would
+            total = 0
+            for A in (np.array(x, dtype=complex) for x in side):
+                if not np.all(np.isfinite(A)):
+                    raise ValueError("matrix has non-finite entries")
+                sq = A @ A
+                sq -= A
+                devs += [_frobenius_norms(A - _dagger(A)), _frobenius_norms(sq)]
+                total = total + A
+            devs.append(_frobenius_norms(total - np.eye(total.shape[-1])))
     # np.max, unlike max(), keeps a NaN deviation, which then fails
-    dev = np.max(devs)
+    dev = np.max(np.concatenate(devs))
     if not dev <= tol:
         raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
 
@@ -392,19 +393,15 @@ def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
 
 def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
     """to_reflection's conversion, for callers that check the axioms themselves."""
-    alice: dict[str, dict[int, np.ndarray]] = {}
-    for j in p.game.context_names:
-        vs = p.game.contexts[j]
-        refl: dict[int, np.ndarray] = {}
-        for i, v in enumerate(vs):
-            R = np.zeros((p.dim_a, p.dim_a), dtype=complex)
-            for t, M in p.alice[j].items():
-                R += M if t[i] == 0 else -M
-            refl[v] = R
-        alice[j] = refl
-    bob = {v: p.bob[v][0] - p.bob[v][1] for v in p.game.vertices}
+    alice, bob = _outcome_lists(p)
+    R = np.zeros((5, 4, p.dim_a, p.dim_a), dtype=complex)
+    # outcome by outcome, each projector added or subtracted whole: negating by a multiply could flip a zero's sign
+    for i, outcome in enumerate(alice):
+        A = np.array(outcome, dtype=complex)[:, None]
+        R += np.where(_OUTCOMES[:, i, :, None, None] == 0, A, -A)
+    N0, N1 = (np.array(x, dtype=complex) for x in bob)
     L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
-    return ReflectionStrategy(L=L, alice=alice, bob=bob)
+    return _standard_strategy(L, R, N0 - N1)
 
 
 def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
@@ -439,11 +436,8 @@ def projective_to_json(p: ProjectiveStrategy) -> dict:
         "dim_b": p.dim_b,
         "psi": matrix_to_json(psi_col),
         "M": {
-            j: {
-                "".join(str(b) for b in t): matrix_to_json(M)
-                for t, M in p.alice[j].items()
-            }
-            for j in p.game.context_names
+            j: {"".join(map(str, t)): matrix_to_json(p.alice[j][tuple(t)]) for t in ts}
+            for j, ts in zip(p.game.context_names, _OUTCOMES.tolist())
         },
         "N": {
             str(v): {"0": matrix_to_json(p.bob[v][0]), "1": matrix_to_json(p.bob[v][1])}
@@ -509,12 +503,10 @@ def strategy_from_json(obj: dict):
         M = _section(obj["M"], "M", game.context_names)
         N = _section(obj.get("N"), "N", game.vertices)
         alice, bob = {}, {}
-        for j in game.context_names:
-            outcomes = ["".join(map(str, t)) for t in parity_assignments(game, j)]
-            ctx = _section(M[j], f"M.{j}", outcomes)
-            alice[j] = {
-                tuple(map(int, key)): _decode(ctx[key], f"M.{j}.{key}", (da, da)) for key in outcomes
-            }
+        for j, ts in zip(game.context_names, _OUTCOMES.tolist()):
+            names = {"".join(map(str, t)): tuple(t) for t in ts}
+            ctx = _section(M[j], f"M.{j}", names)
+            alice[j] = {t: _decode(ctx[key], f"M.{j}.{key}", (da, da)) for key, t in names.items()}
         for v in game.vertices:
             pair = _section(N[str(v)], f"N.{v}", "01")
             bob[v] = tuple(_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01")

@@ -8,7 +8,6 @@ from pentagram.linalg import (
     PAULI_Z,
     _exp_i_eigen,
     _frobenius_norms,
-    _hermitian_eigendecomposition,
     bell_matrix,
     frobenius_norm,
     matrix_from_json,
@@ -48,46 +47,15 @@ class TestFrobenius:
             assert abs(frobenius_norm(u @ a @ v) - frobenius_norm(a)) < 1e-12
 
 
-class TestEigendecomposition:
-    def test_pauli_z(self):
-        w, _ = _hermitian_eigendecomposition(PAULI_Z)
-        np.testing.assert_allclose(w, [-1, 1], atol=1e-15)
-
-    def test_pauli_x_eigenvectors(self):
-        w, v = _hermitian_eigendecomposition(PAULI_X)
-        np.testing.assert_allclose(w, [-1, 1], atol=1e-15)
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(np.vdot(v[:, 0], minus)) - 1) < 1e-12
-        assert abs(abs(np.vdot(v[:, 1], plus)) - 1) < 1e-12
-
-    def test_identity(self):
-        w, _ = _hermitian_eigendecomposition(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4), atol=1e-15)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 8, 32, 64):
-            h = _rand_hermitian(rng, n)
-            w, v = _hermitian_eigendecomposition(h)
-            assert frobenius_norm((v * w) @ v.conj().T - h) < 1e-10
-            assert frobenius_norm(v.conj().T @ v - np.eye(n)) < 1e-10
-            assert np.all(np.diff(w) >= -1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            _hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestExpIHermitian:
-    """exp(i scale h) as the package computes it: _exp_i_eigen of _hermitian_eigendecomposition."""
+    """exp(i scale h) as the package computes it: _exp_i_eigen of np.linalg.eigh."""
 
     def test_zero_scale(self):
-        u = _exp_i_eigen(*_hermitian_eigendecomposition(HADAMARD), 0.0)
+        u = _exp_i_eigen(*np.linalg.eigh(HADAMARD), 0.0)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
 
     def test_pi_z(self):
-        u = _exp_i_eigen(*_hermitian_eigendecomposition(PAULI_Z), np.pi)
+        u = _exp_i_eigen(*np.linalg.eigh(PAULI_Z), np.pi)
         np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
 
     def test_taylor_remainder(self):
@@ -96,32 +64,21 @@ class TestExpIHermitian:
         for n in (2, 8):
             h = _rand_hermitian(rng, n)
             h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-            u = _exp_i_eigen(*_hermitian_eigendecomposition(h), delta)
+            u = _exp_i_eigen(*np.linalg.eigh(h), delta)
             remainder = frobenius_norm(u - np.eye(n) - 1j * delta * h)
             assert remainder < 10 * delta**2
 
     def test_unitarity(self):
         rng = np.random.default_rng(9)
         h = _rand_hermitian(rng, 8)
-        u = _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.37)
+        u = _exp_i_eigen(*np.linalg.eigh(h), 0.37)
         assert frobenius_norm(u.conj().T @ u - np.eye(8)) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            _exp_i_eigen(*_hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
-
-    def test_stack_with_non_hermitian_slice_rejected(self):
-        rng = np.random.default_rng(10)
-        h = np.stack([_rand_hermitian(rng, 4) for _ in range(5)])
-        h[3, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="not Hermitian"):
-            _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.5)
 
     def test_stack_equals_each_matrix(self):
         rng = np.random.default_rng(11)
         h = np.stack([_rand_hermitian(rng, 8) for _ in range(6)])
-        u = _exp_i_eigen(*_hermitian_eigendecomposition(h), 0.3)
-        each = [_exp_i_eigen(*_hermitian_eigendecomposition(h[i]), 0.3) for i in range(6)]
+        u = _exp_i_eigen(*np.linalg.eigh(h), 0.3)
+        each = [_exp_i_eigen(*np.linalg.eigh(h[i]), 0.3) for i in range(6)]
         assert all(np.array_equal(u[i], each[i]) for i in range(6))
 
 

@@ -6,12 +6,14 @@ isometry; so are the per-row certificate core that the stacked core
 replaced, the dict-of-dicts pair and change-word families that certify now
 reads from stacks, the distinguished-reflection table they and the dense
 reference read, the per-matrix reflection check the isometry reference
-runs, and the dict-of-dicts random strategy.  The stacked kernels run the
+runs, the dict-of-dicts random strategy, and the per-matrix projective
+conversions and check.  The stacked kernels run the
 same floating-point operations in the same order, so every comparison is
 exact: `==` on floats and np.array_equal on matrices, with no tolerance.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from pentagram.game import STANDARD_GAME, best_classical_strategy, parity_assignments
 from pentagram.linalg import BELL_KINDS, HADAMARD, PLUS, STRUCTURE_TOL, as_matrix, bell_matrix, frobenius_norm
 from pentagram.optimize import (
     MODES,
@@ -46,13 +49,22 @@ from pentagram.rigidity import (
     consistency_residuals,
 )
 from pentagram.strategies import (
+    InvalidStrategyError,
+    ProjectiveStrategy,
     ReflectionStrategy,
     ValidationReport,
+    _check_projective,
+    _check_tol,
     _question_stacks,
+    _reflection_form,
     _stacks,
     _standard_strategy,
+    _valid_stacks,
+    classical_embedding,
     ideal_strategy,
     losing_terms,
+    to_projective,
+    to_reflection,
     validate,
 )
 
@@ -359,7 +371,7 @@ def ref_extract_state(r: ReflectionStrategy, im: RefImages) -> StateExtraction:
     junk = comps[0, 0, 0].copy()
     off_target = sum(w for key, w in weights.items() if key != PHI_TRIPLE)
     residual = float(np.sqrt(max(off_target, 0.0)))
-    return StateExtraction(P=P, bell_weights=weights, junk=junk, state_residual=residual)
+    return StateExtraction(bell_weights=weights, junk=junk, state_residual=residual)
 
 
 def ref_core(r: ReflectionStrategy):
@@ -484,7 +496,6 @@ def assert_core_rows_match(rs: list[ReflectionStrategy]):
         assert epsilon[i] == eps
         assert dict(zip(r.game.questions(), consistency[i])) == cons
         assert dict(zip(_OP_KEYS, ops[i])) == op
-        assert np.array_equal(states[i].P, ext.P)
         assert np.array_equal(states[i].junk, ext.junk)
         assert states[i].bell_weights == ext.bell_weights
         assert states[i].state_residual == ext.state_residual
@@ -511,3 +522,169 @@ def test_change_words_match_loops(seed):
     r = perturb_ideal(PerturbationSpec(0.05, seed))
     L, R, _ = row_stacks(r)
     assert ordered(_sampled_change_words(L, R)) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
+
+
+# The per-matrix projective conversions and check; the reference conversion
+# runs the one gate where it ran require_valid.
+
+
+def ref_to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
+    _valid_stacks(r)
+    da, db = r.dim_a, r.dim_b
+    alice: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
+    for j in r.game.context_names:
+        vs = r.game.contexts[j]
+        outcomes: dict[tuple[int, ...], np.ndarray] = {}
+        for t in parity_assignments(r.game, j):
+            M = np.eye(da, dtype=complex)
+            for bit, v in zip(t, vs):
+                sign = 1.0 if bit == 0 else -1.0
+                M = M @ ((np.eye(da) + sign * r.alice[j][v]) / 2)
+            outcomes[t] = M
+        alice[j] = outcomes
+    bob = {
+        v: (
+            (np.eye(db) + r.bob[v]) / 2,
+            (np.eye(db) - r.bob[v]) / 2,
+        )
+        for v in r.game.vertices
+    }
+    psi = np.asarray(r.L, dtype=complex).ravel().copy()
+    return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
+
+
+def ref_check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
+    _check_tol(tol)
+    devs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in p.game.context_names:
+            total = np.zeros((p.dim_a, p.dim_a), dtype=complex)
+            for M in p.alice[j].values():
+                M = as_matrix(M)
+                devs += [frobenius_norm(M - M.conj().T), frobenius_norm(M @ M - M)]
+                total += M
+            devs.append(frobenius_norm(total - np.eye(p.dim_a)))
+        for N0, N1 in p.bob.values():
+            for N in (N0, N1):
+                N = as_matrix(N)
+                devs += [frobenius_norm(N - N.conj().T), frobenius_norm(N @ N - N)]
+            devs.append(frobenius_norm(N0 + N1 - np.eye(p.dim_b)))
+        devs.append(abs(float(np.linalg.norm(p.psi)) - 1.0))
+    dev = np.max(devs)
+    if not dev <= tol:
+        raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
+
+
+def ref_reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
+    alice: dict[str, dict[int, np.ndarray]] = {}
+    for j in p.game.context_names:
+        vs = p.game.contexts[j]
+        refl: dict[int, np.ndarray] = {}
+        for i, v in enumerate(vs):
+            R = np.zeros((p.dim_a, p.dim_a), dtype=complex)
+            for t, M in p.alice[j].items():
+                R += M if t[i] == 0 else -M
+            refl[v] = R
+        alice[j] = refl
+    bob = {v: p.bob[v][0] - p.bob[v][1] for v in p.game.vertices}
+    L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
+    return ReflectionStrategy(L=L, alice=alice, bob=bob)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: stricter than ==, since it also tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_projective(a: ProjectiveStrategy, b: ProjectiveStrategy):
+    assert same_bytes(a.psi, b.psi) and (a.dim_a, a.dim_b) == (b.dim_a, b.dim_b)
+    assert list(a.alice) == list(b.alice)
+    for j in a.alice:
+        assert list(a.alice[j]) == list(b.alice[j]), j
+        assert all(same_bytes(a.alice[j][t], b.alice[j][t]) for t in a.alice[j]), j
+    assert list(a.bob) == list(b.bob)
+    assert all(same_bytes(x, y) for v in a.bob for x, y in zip(a.bob[v], b.bob[v], strict=True))
+
+
+def assert_same_reflection_bytes(a: ReflectionStrategy, b: ReflectionStrategy):
+    assert same_bytes(a.L, b.L)
+    assert [(j, list(ctx)) for j, ctx in a.alice.items()] == [(j, list(ctx)) for j, ctx in b.alice.items()]
+    assert all(same_bytes(a.alice[j][v], b.alice[j][v]) for j in a.alice for v in a.alice[j])
+    assert list(a.bob) == list(b.bob) and all(same_bytes(a.bob[v], b.bob[v]) for v in a.bob)
+
+
+def check_outcome(check, p: ProjectiveStrategy, tol: float):
+    """None when check passes p at tol, else the exception's type and message."""
+    try:
+        return check(p, tol)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+CHECK_TOLS = (STRUCTURE_TOL, 1e-6, 0.0)
+
+
+def assert_projective_kernels_match(p: ProjectiveStrategy):
+    """The stacked check and reflection form equal their loop references on p."""
+    for tol in CHECK_TOLS:
+        assert check_outcome(_check_projective, p, tol) == check_outcome(ref_check_projective, p, tol)
+    assert_same_reflection_bytes(_reflection_form(p), ref_reflection_form(p))
+
+
+# the ideal, each mode, random strategies, the d = 32 junk register and a 1x1 strategy
+PROJECTIVE_INPUTS = {
+    "ideal": ideal_strategy,
+    **{f"{m}-{s}": partial(perturb_ideal, PerturbationSpec(0.05, s, m)) for m in MODES for s in (2, 7)},
+    **{f"random-{seed}": partial(random_strategy, seed) for seed in range(3)},
+    "junk": junk_register_strategy,
+    "classical": lambda: classical_embedding(best_classical_strategy(STANDARD_GAME)[0]),
+}
+
+
+@pytest.mark.parametrize("name", PROJECTIVE_INPUTS)
+def test_projective_conversions_match_loops(name):
+    r = PROJECTIVE_INPUTS[name]()
+    p = to_projective(r)
+    assert_same_projective(p, ref_to_projective(r))
+    assert_projective_kernels_match(p)
+
+
+def _broken(p: ProjectiveStrategy, how: str) -> ProjectiveStrategy:
+    first = next(iter(p.alice["E"]))
+    if how == "halved":
+        p.alice["E"][first] = p.alice["E"][first] / 2
+    elif how == "psi":
+        p.psi = p.psi * (1 + 5e-9)
+    elif how == "nan":
+        p.alice["E"][first] = p.alice["E"][first].copy()
+        p.alice["E"][first][1, 2] = np.nan
+    elif how == "bob":
+        p.bob[7] = (p.bob[7][0], p.bob[7][1] + 1e-7)
+    return p
+
+
+@pytest.mark.parametrize("how", ["halved", "psi", "nan", "bob"])
+@pytest.mark.parametrize("name", ["ideal", "combined-2", "junk"])
+def test_broken_projective_matches_loops(name, how):
+    p = _broken(to_projective(PROJECTIVE_INPUTS[name]()), how)
+    assert check_outcome(_check_projective, p, STRUCTURE_TOL) is not None
+    for tol in CHECK_TOLS:
+        assert check_outcome(_check_projective, p, tol) == check_outcome(ref_check_projective, p, tol)
+    if how != "nan":
+        assert_same_reflection_bytes(_reflection_form(p), ref_reflection_form(p))
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_wrong_outcome_keys_name_the_context(change):
+    # the loops summed whatever keys they found: a missing outcome failed only
+    # through completeness and an extra all-zero one passed
+    p = to_projective(ideal_strategy())
+    if change == "missing":
+        del p.alice["D"][next(iter(p.alice["D"]))]
+    else:
+        p.alice["D"][(1, 0, 0, 0)] = np.zeros((8, 8), dtype=complex)
+    assert (check_outcome(ref_check_projective, p, STRUCTURE_TOL) is None) == (change == "extra")
+    for convert in (_check_projective, _reflection_form, to_reflection):
+        with pytest.raises(InvalidStrategyError, match="^context D: outcomes must be exactly"):
+            convert(p)

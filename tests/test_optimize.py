@@ -86,6 +86,14 @@ class TestPerturbIdeal:
         assert h.shape == (3, 8, 8)
         assert np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) == pytest.approx([1.0] * 3, abs=1e-12)
 
+    def test_generators_exactly_hermitian(self):
+        # (g + g^dagger)/2 over a real scale: _draw hands them to eigh with no check
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for dim in (1, 2, 8, 32):
+                h = random_hermitian(rng, dim, 15)
+                assert np.array_equal(h, h.conj().swapaxes(-1, -2)), (seed, dim)
+
 
 class TestBobBestResponse:
     def test_fixes_ideal(self):
@@ -155,9 +163,10 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_delta(0.2)
 
-    def test_non_convergence_reported(self):
-        with pytest.raises(CalibrationError):
-            calibrate_delta(1e-4, seed=3, max_iter=1)
+    def test_non_convergence_reported(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_BISECTIONS", 1)
+        with pytest.raises(CalibrationError, match="within 1 iterations"):
+            calibrate_delta(1e-4, seed=3)
 
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "state-noise"])
     def test_draws_generators_once(self, monkeypatch, mode):
@@ -304,6 +313,12 @@ class TestScalingStudy:
         monkeypatch.undo()
         assert scaling_study([1e-2], 0, seed=0)[0] == []
 
+    def test_unknown_mode_rejected_without_rows(self):
+        # no row would build the spec that refuses the mode
+        for deltas, samples in (([0.1], 0), ([], 3)):
+            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+                scaling_study(deltas, samples, 1, mode="bogus")
+
     def test_delta_above_one_rejected_before_any_row(self, monkeypatch):
         monkeypatch.setattr(optimize, "_study_chunk", None)
         for samples in (30, 0):
@@ -329,7 +344,7 @@ def test_calibrate_delta_validates_once(monkeypatch):
         calls.append(len(L))
         return gate(L, alice, bob)
 
-    monkeypatch.setattr(strategies, "_require_valid_rows", counting)
+    monkeypatch.setattr(optimize, "_require_valid_rows", counting)
     spec = calibrate_delta(1e-3, seed=3)
     assert len(calls) == 1
     calls.clear()
