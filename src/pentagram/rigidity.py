@@ -102,11 +102,51 @@ class RigidityReport:
         return max(self.consistency_residuals.values())
 
 
+# OpenBLAS 0.3.31 with 2 threads runs a complex gemm of 64x32x32 = 65,536 multiply-adds on its second thread, which
+# then spins at full CPU for about 100 ms; a 32x32x32 gemm stays on the calling thread.  _matmul and _bell_expand
+# split their products into BLAS calls of at most this many multiply-adds.
+_ONE_THREAD_WORK = 32**3
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (..., m, k) and (..., k, n) stacks of one batch shape, in small BLAS calls.
+
+    A product above _ONE_THREAD_WORK runs as one batched matmul over r x w tiles, each written in place in the
+    result.  Starting from the whole product, the larger of r and w halves while a tile exceeds the limit, r only
+    while the half stays even and w only while it stays a multiple of 4: zgemm kernels take a row-major product's
+    rows in pairs and its columns in groups of up to 4, and round a part group differently.  At d = 32 every tile is
+    32 x 32 x 32; where m or n cannot be halved so, a tile may exceed the limit.
+
+    Checked at the call sites' shapes for every d up to 48 and for unequal da and db up to 40: the tiles equal a @ b
+    on one thread bit for bit on OpenBLAS 0.3.31's SkylakeX, Sandybridge, Nehalem and Prescott kernels, and on
+    SkylakeX at two threads too (on the others, a product that two threads share, whole or a tile above the limit,
+    can round differently from one thread's).  They do not on its Haswell kernel, which Zen also uses: it takes rows
+    in groups of 6, so there the last bits move.
+    """
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    if m * n * k <= _ONE_THREAD_WORK:
+        return a @ b
+    r, w = m, n
+    while r * k * w > _ONE_THREAD_WORK:
+        if w % 8 == 0 and (w >= r or r % 4):
+            w //= 2
+        elif r % 4 == 0:
+            r //= 2
+        else:
+            break
+    batch = a.shape[:-2]
+    out = np.empty((*batch, m, n), dtype=np.result_type(a, b))
+    rows = a.reshape(*batch, m // r, 1, r, k)
+    cols = b.reshape(*batch, 1, k, n // w, w).swapaxes(-3, -2)
+    np.matmul(rows, cols, out=out.reshape(*batch, m // r, r, n // w, w).swapaxes(-3, -2))
+    return out
+
+
 def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
     """Apply each row's u to the original-space axis of t where ancilla k is |1>, in place."""
     one = (slice(None),) * (k + 1) + (1,)
     sub = t[one]
-    t[one] = (u @ sub.reshape(*sub.shape[:2], -1)).reshape(sub.shape)
+    t[one] = _matmul(u, sub.reshape(*sub.shape[:2], -1)).reshape(sub.shape)
 
 
 def _isometries(primes: np.ndarray) -> np.ndarray:
@@ -181,7 +221,7 @@ def _images(L: np.ndarray, primes: dict, sides=tuple(_REGISTERS)) -> dict:
     """Each side's stacked (V_A, V_A L) or (V_B^dagger, L V_B^dagger), its isometries built once."""
     v = {side: _isometries(primes[side]) for side in sides}
     v = {side: m if side == "alice" else _dagger(m) for side, m in v.items()}
-    return {side: (m, m @ L if side == "alice" else L @ m) for side, m in v.items()}
+    return {side: (m, _matmul(m, L) if side == "alice" else _matmul(L, m)) for side, m in v.items()}
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -216,7 +256,7 @@ def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -
         lhs = _ancilla_pauli(lhs, which, idx + shift)
         op = primes[side][:, _OP_KEYS.index(f"{which}{idx}") % 6]
         rhs = op @ rhs if side == "alice" else rhs @ op
-    out = v @ rhs if side == "alice" else rhs @ v
+    out = _matmul(v, rhs) if side == "alice" else _matmul(rhs, v)
     # V (O' L) - P (V L) in place: the residual's negation, with the same norm to the bit
     out.reshape(n, *regs)[...] -= lhs
     return _frobenius_norms(out)
@@ -255,16 +295,36 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
 
 
+# The conjugated Bell basis as a (4, 4) matrix: row x holds bell_matrix(BELL_KINDS[x]).conj(), flattened.
+_BELL = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj().reshape(4, 4)
+
+
+def _bell_expand(P: np.ndarray) -> np.ndarray:
+    """(4, 4, 4, da, db) coefficients of P (8da, 8db) over the Bell basis on each ancilla pair (Qi, Q(i+3)).
+
+    Three products, _BELL @ P(il, rest), then T(rest, jm) @ _BELL.T, then T(rest, kn) @ _BELL.T: the order and operand
+    order of np.einsum's optimal path, so the result equals its einsum bit for bit.  Each runs as one batched matmul
+    over c slabs of Alice's original-space axis, c the smallest divisor of da that keeps a slab's product within
+    _ONE_THREAD_WORK.
+    """
+    da, db = P.shape[0] // 8, P.shape[1] // 8
+    c = next((c for c in range(1, da + 1) if da % c == 0 and 256 * (da // c) * db <= _ONE_THREAD_WORK), da)
+    a = da // c
+    # axes (slab, a, i, j, k, b, l, m, n), Alice's ancillas i, j, k and Bob's l, m, n
+    t = _BELL @ P.reshape(c, a, 2, 2, 2, db, 2, 2, 2).transpose(0, 2, 6, 1, 3, 4, 5, 7, 8).reshape(c, 4, -1)
+    # (slab, x, a, j, k, b, m, n) -> (slab, x, a, k, b, n, y)
+    t = t.reshape(c, 4, a, 2, 2, db, 2, 2).transpose(0, 1, 2, 4, 5, 7, 3, 6).reshape(c, -1, 4) @ _BELL.T
+    # (slab, x, a, k, b, n, y) -> (slab, x, y, a, b, z)
+    t = t.reshape(c, 4, a, 2, db, 2, 4).transpose(0, 1, 6, 2, 4, 3, 5).reshape(c, -1, 4) @ _BELL.T
+    return t.reshape(c, 4, 4, a, db, 4).transpose(1, 2, 5, 0, 3, 4).reshape(4, 4, 4, da, db)
+
+
 def _extract_states(images: dict) -> list[StateExtraction]:
     """StateExtraction of each row, from both sides' stacked images."""
-    basis = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj()
-    # np.einsum's optimal path at every d, row by row: a stack is large enough to wake BLAS threads
-    path = ["einsum_path", (0, 1), (0, 2), (0, 1)]
     out = []
+    # row by row, so that one row's P (8da, 8db) is alive at a time
     for image, v in zip(images["alice"][1], images["bob"][0]):
-        P = image @ v
-        Pr = P.reshape(P.shape[0] // 8, 2, 2, 2, P.shape[1] // 8, 2, 2, 2)
-        comps = np.einsum("aijkblmn,xil,yjm,zkn->xyzab", Pr, *[basis] * 3, optimize=path)
+        comps = _bell_expand(_matmul(image, v))
         norms = _frobenius_norms(comps).ravel()
         weights = dict(zip(product(BELL_KINDS, repeat=3), (float(x**2) for x in norms)))
         # sqrt(||P||^2 - ||junk||^2) evaluated as the off-target weight sum, which

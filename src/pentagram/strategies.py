@@ -339,14 +339,18 @@ def _outcome_lists(p: ProjectiveStrategy) -> tuple[list[list[np.ndarray]], list[
 
     Callers stack one list at a time, (5, da, da) or (10, db, db): stacking a whole side raised the peak memory of
     loading a d = 32 projective file.  Raises InvalidStrategyError naming the first context whose outcome keys are
-    not its parity-valid ones.
+    not its parity-valid ones, or the first vertex that Bob measures without a pair (N0, N1) or that is not a vertex.
     """
-    names = STANDARD_GAME.context_names
+    names, vertices = STANDARD_GAME.context_names, STANDARD_GAME.vertices
     for j, ts in zip(names, _OUTCOMES.tolist()):
         if set(p.alice[j]) != set(map(tuple, ts)):
             raise InvalidStrategyError(f"context {j}: outcomes must be exactly its 8 parity-valid bit tuples")
+    for v in (*vertices, *(set(p.bob) - set(vertices))):
+        if v not in vertices or v not in p.bob or len(p.bob[v]) != 2:
+            message = "Bob needs one pair (N0, N1) at each of the 10 vertices and no others"
+            raise InvalidStrategyError(f"vertex {v!r}: {message}")
     alice = [[p.alice[j][tuple(t)] for j, t in zip(names, ts)] for ts in _OUTCOMES.swapaxes(0, 1).tolist()]
-    return alice, [[p.bob[v][b] for v in STANDARD_GAME.vertices] for b in (0, 1)]
+    return alice, [[p.bob[v][b] for v in vertices] for b in (0, 1)]
 
 
 def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:

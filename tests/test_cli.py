@@ -9,6 +9,7 @@ from pentagram.cli import main
 from pentagram.linalg import matrix_to_json
 from pentagram.optimize import MODES
 from pentagram.strategies import ideal_strategy, projective_to_json, reflection_to_json, to_projective
+from test_loop_references import junk_register_strategy
 
 
 def run(capsys, *argv):
@@ -419,21 +420,29 @@ class TestGoldenCertificate:
     tests/data holds the report of `certify` on the ideal strategy, which
     both file formats give, and on `perturb --delta 0.01 --seed 5` in each
     format, as written while certify's context-change, pair and change-word
-    families still read the dict-of-dicts strategy.  A change that moves a
-    byte regenerates them on purpose and logs why.
+    families still read the dict-of-dicts strategy; and on the d = 32
+    junk-register strategy of test_loop_references in each format, as
+    written while its products still ran as whole BLAS calls.  A change that
+    moves a byte regenerates them on purpose and logs why.
     """
 
     DATA = Path(__file__).resolve().parent / "data"
 
     @pytest.mark.parametrize("fmt", ["reflection", "projective"])
-    @pytest.mark.parametrize("strategy", ["ideal", "perturb"])
+    @pytest.mark.parametrize("strategy", ["ideal", "perturb", "junk"])
     def test_bytes_unchanged(self, capsys, tmp_path, strategy, fmt):
         src, report = tmp_path / "strategy.json", tmp_path / "report.json"
-        if strategy == "ideal":
-            argv, golden = ["export-ideal"], "certificate-ideal.json"
+        if strategy == "junk":
+            r = junk_register_strategy()
+            obj = projective_to_json(to_projective(r)) if fmt == "projective" else reflection_to_json(r)
+            src.write_text(json.dumps(obj))
+            golden = f"certificate-junk-{fmt}.json"
         else:
-            argv, golden = ["perturb", "--delta", "0.01", "--seed", "5"], f"certificate-perturb-{fmt}.json"
-        assert run(capsys, *argv, "--format", fmt, "--out", str(src))[0] == 0
+            if strategy == "ideal":
+                argv, golden = ["export-ideal"], "certificate-ideal.json"
+            else:
+                argv, golden = ["perturb", "--delta", "0.01", "--seed", "5"], f"certificate-perturb-{fmt}.json"
+            assert run(capsys, *argv, "--format", fmt, "--out", str(src))[0] == 0
         code, _, err = run(capsys, "certify", "--in", str(src), "--out", str(report))
         assert (code, err) == (0, "")
         assert report.read_bytes() == (self.DATA / golden).read_bytes()
