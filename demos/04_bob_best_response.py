@@ -9,16 +9,15 @@ it never lowers the score and is idempotent.
 
 import numpy as np
 
-from pentagram import bob_best_response, ideal_strategy, random_strategy, score
+from pentagram import ReflectionStrategy, bob_best_response, ideal_strategy, random_strategy, score
 from pentagram.optimize import random_reflection
 
 
 def main():
     rng = np.random.default_rng(0)
 
-    r = ideal_strategy()
-    for v in r.game.vertices:
-        r.bob[v] = random_reflection(rng, 8)
+    ideal = ideal_strategy()
+    r = ReflectionStrategy(L=ideal.L, alice=ideal.alice, bob={v: random_reflection(rng, 8) for v in ideal.game.vertices})
     print(f"ideal Alice, random Bob:      score = {score(r):.6f}")
     print(f"after one best response:      score = {score(bob_best_response(r)):.6f}")
 

@@ -22,13 +22,13 @@ from .strategies import (
     _check_projective,
     _reflection_form,
     ideal_strategy,
-    load_reflection,
     losing_terms,
     projective_to_json,
     reflection_to_json,
     score,
     strategy_from_json,
     to_projective,
+    to_reflection,
     validate,
 )
 
@@ -50,6 +50,14 @@ def _read_json(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _load(path: str):
+    """The strategy in a file of either format, in reflection form."""
+    # decoded here, so that the document (9 MB at d = 32) is freed before a projective strategy converts: a caller
+    # holds its arguments alive through the call
+    s = strategy_from_json(_read_json(path))
+    return to_reflection(s) if isinstance(s, ProjectiveStrategy) else s
 
 
 def _write_strategy(r, path: str, fmt: str) -> None:
@@ -74,7 +82,7 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    r = load_reflection(_read_json(args.infile))
+    r = _load(args.infile)
     print(f"{score(r):.12f}")
     for (j, v), term in losing_terms(r).items():
         print(f"{j} {v} {term:.12f}")
@@ -95,8 +103,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    r = load_reflection(_read_json(args.infile))
-    report = certify(r)
+    report = certify(_load(args.infile))
     dump_json(report_to_json(report), args.out)
     print(f"epsilon {report.epsilon:.12e}")
     print(f"state_residual {report.state_residual:.12e}")

@@ -37,12 +37,10 @@ from .rigidity import _core
 from .strategies import (
     _VERTEX_QUESTIONS,
     ReflectionStrategy,
+    _by_question,
     _ideal_arrays,
-    _question_stacks,
     _require_valid_rows,
     _scores,
-    _stacks,
-    _standard_strategy,
 )
 
 MODES = ("context-unitaries", "bob-unitaries", "state-noise", "combined")
@@ -138,19 +136,19 @@ def _draw(seed: int, mode: str):
 
 
 def _apply(draw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ideal stacks (L, Alice, Bob) perturbed by a _draw at scale delta (the ideal at 0)."""
+    """The ideal stacks (L, Alice, Bob) perturbed by a _draw at scale delta; unperturbed ones are the read-only ideal's."""
     L, a, b = _ideal_arrays()
     if delta == 0.0:
-        return L.copy(), a.copy(), b.copy()
+        return L, a, b
     alice, bob, w, v, noise = draw
     if v is not None:
         u = _exp_i_eigen(w, v, delta)
         uh = _dagger(u)
-    a = u[: len(a), None] @ a @ uh[: len(a), None] if alice else a.copy()
-    b = u[-len(b) :] @ b @ uh[-len(b) :] if bob else b.copy()
-    if noise is None:
-        L = L.copy()
-    else:
+    if alice:
+        a = u[: len(a), None] @ a @ uh[: len(a), None]
+    if bob:
+        b = u[-len(b) :] @ b @ uh[-len(b) :]
+    if noise is not None:
         L = L + delta * noise
         L = L / np.linalg.norm(L)
     return L, a, b
@@ -165,9 +163,9 @@ def perturb_ideal(spec: PerturbationSpec) -> ReflectionStrategy:
     L + delta * W with W Gaussian scaled to unit Frobenius norm.  The result
     passes validation at STRUCTURE_TOL by construction and is checked anyway.
     """
-    stacks = _apply(_draw(spec.seed, spec.mode), spec.delta)
-    _require_valid_rows(*(x[None] for x in stacks))
-    return _standard_strategy(*stacks)
+    r = ReflectionStrategy._from_arrays(*_apply(_draw(spec.seed, spec.mode), spec.delta))
+    r._gate()
+    return r
 
 
 def random_strategy(seed: int) -> ReflectionStrategy:
@@ -184,7 +182,7 @@ def random_strategy(seed: int) -> ReflectionStrategy:
         ctx[:] = [u @ m @ u.conj().T for m in ctx]
     bob = np.array([random_reflection(rng, L.shape[1]) for _ in bob])
     L = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
-    return _standard_strategy(L / np.linalg.norm(L), alice, bob)
+    return ReflectionStrategy._from_arrays(L / np.linalg.norm(L), alice, bob)
 
 
 def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
@@ -196,9 +194,9 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     L^dagger R[j][v] L.  Eigenvalues of W[v] that vanish are mapped to +1 for
     determinism.  The score never decreases.
     """
-    L, alice, bob = _stacks(r)
+    L = r._L
     # each vertex's two operators R[j][v], its contexts in name order
-    x = _dagger(L[0]) @ _question_stacks(alice, bob)[0][0, _VERTEX_QUESTIONS] @ L[0]
+    x = _dagger(L) @ _by_question(r._alice, r._bob)[0][_VERTEX_QUESTIONS] @ L
     # summed onto zeros context by context, not by x.sum: the sign of a zero
     # entry can change what eigh returns
     w = np.zeros_like(x[:, 0])
@@ -207,8 +205,7 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     w = (w + _dagger(w)) / 2
     vals, vecs = np.linalg.eigh(w)
     signs = np.where(vals >= 0.0, 1.0, -1.0)
-    # L is a view of a complex r.L: the copy keeps the response from sharing it
-    return _standard_strategy(L[0].copy(), alice[0], (vecs * signs[:, None, :]) @ _dagger(vecs))
+    return ReflectionStrategy._from_arrays(L, r._alice, (vecs * signs[:, None, :]) @ _dagger(vecs))
 
 
 # Bisection steps calibrate_delta takes before it reports non-convergence.
@@ -269,7 +266,8 @@ def _study_chunk(cells, mode: str) -> list[ScalingRow]:
     """The rows of (delta, child seed) cells, each drawn from its own seed, in one _core pass."""
     specs = [PerturbationSpec(delta, child_seed, mode) for delta, child_seed in cells]
     L, alice, bob = map(np.stack, zip(*(_apply(_draw(s.seed, mode), s.delta) for s in specs)))
-    _, epsilon, consistency, op_residuals, states = _core(L, alice, bob)
+    _require_valid_rows(L, alice, bob)
+    epsilon, consistency, op_residuals, states = _core(L, alice, bob)
     rows = []
     for spec, eps, ext, ops, cons in zip(specs, epsilon, states, op_residuals, consistency):
         sqrt_eps = float(np.sqrt(eps)) if eps > 0 else 0.0

@@ -19,15 +19,15 @@ Q2, Q3) and Bob's (original space, Q4, Q5, Q6); ancilla Qi pairs with ancilla
 Q(i+3) in the Bell decomposition.
 
 Every residual is measured only on a strategy that passes the one gate,
-strategies._require_valid_rows; anything else raises StrategyValidationError.
-build_isometry's bare operators pass the gate's own reflection test.
-Strategies are read only through strategies._stacks.  Stacked (B, ...)
-strategies go through one certificate core: a sweep passes many rows,
-certify, extract_state and consistency_residuals one, while word_residual
-runs the gate and builds only its side's isometry.  No row depends on its batch.
-certify builds one strategy's stacks once: the core and its certify-only
-families (context changes, pair commutators and anticommutators, a fixed
-sample of change words) all read them, through index tables built at import.
+which a strategy runs on itself once; anything else raises
+StrategyValidationError.  build_isometry's bare operators pass the gate's own
+reflection test.  Measures read a strategy's read-only stacks directly, and
+stacked (B, ...) strategies that passed the gate go through one certificate
+core: a sweep passes many rows, certify, extract_state and
+consistency_residuals one, while word_residual builds only its side's
+isometry.  No row depends on its batch.  certify's certify-only families
+(context changes, pair commutators and anticommutators, a fixed sample of
+change words) read the same stacks, through index tables built at import.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ from .strategies import (
     _VERTEX_QUESTIONS,
     ReflectionStrategy,
     ValidationReport,
+    _by_question,
     _losing_terms,
-    _question_stacks,
     _reflection_deviations,
-    _require_valid_rows,
-    _stacks,
-    _valid_stacks,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
@@ -214,7 +211,7 @@ _PRIME_INDEX = [
 
 def _primes(alice: np.ndarray, bob: np.ndarray) -> dict:
     """Each side's (B, 6, d, d) stack X'_i, Z'_i of its three registers, gathered by _PRIME_INDEX."""
-    return {"alice": _question_stacks(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
+    return {"alice": _by_question(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
 
 
 def _images(L: np.ndarray, primes: dict, sides=tuple(_REGISTERS)) -> dict:
@@ -232,7 +229,8 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     squared residual and no term exceeds 20 times the losing probability.
     Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return dict(zip(r.game.questions(), map(float, _core(*_stacks(r))[2][0])))
+    r._gate()
+    return dict(zip(r.game.questions(), map(float, _core(*r._rows())[1][0])))
 
 
 def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
@@ -290,7 +288,8 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     side, parsed = _parse_word(word)
-    L, alice, bob = _valid_stacks(r)
+    r._gate()
+    L, alice, bob = r._rows()
     primes = _primes(alice, bob)
     return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
 
@@ -346,7 +345,8 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     state_residual = sqrt(||P||^2 - ||junk||^2).  Raises
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return _core(*_stacks(r))[4][0]
+    r._gate()
+    return _core(*r._rows())[3][0]
 
 
 def _context_changes(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -430,21 +430,19 @@ def _sampled_change_words(L: np.ndarray, R: np.ndarray) -> dict[int, float]:
 
 
 def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
-    """Validate B stacked strategies at STRUCTURE_TOL, then measure epsilon, consistency, operators and state.
+    """Measure epsilon, consistency, operators and state of B stacked strategies that have passed the gate.
 
-    Stacks are laid out as strategies._stacks lays them; the first failing row raises.  Returns lists of
-    reports, epsilons and extractions, and (B, 20) consistency and (B, 12) operator residuals in key order.
-    Isometries skip the reflection checks validation has just made.  No row's value depends on the batch.
+    Returns lists of epsilons and extractions, and (B, 20) consistency and (B, 12) operator residuals in key
+    order.  Isometries skip the reflection checks the gate has made.  No row's value depends on the batch.
     """
-    reports = _require_valid_rows(L, alice, bob)
     primes = _primes(alice, bob)
     images = _images(L, primes)
     epsilon = [sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
     ops = _operator_residuals(L, primes, images)
-    R, S = _question_stacks(alice, bob)
+    R, S = _by_question(alice, bob)
     consistency = R @ L[:, None]
     consistency -= L[:, None] @ S
-    return reports, epsilon, _frobenius_norms(consistency), ops, _extract_states(images)
+    return epsilon, _frobenius_norms(consistency), ops, _extract_states(images)
 
 
 def certify(r: ReflectionStrategy) -> RigidityReport:
@@ -458,10 +456,10 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
     pair and change-word families are added here.  The change words are one
     fixed sample, so a report depends only on r and the package version.
     """
-    L, alice, bob = _stacks(r)
-    (report,), (epsilon,), consistency, ops, (extraction,) = _core(L, alice, bob)
+    report = r._gate()
+    (epsilon,), consistency, ops, (extraction,) = _core(*r._rows())
     consistency = dict(zip(r.game.questions(), map(float, consistency[0])))
-    L, R, S = L[0], _question_stacks(alice, bob)[0][0], bob[0]
+    L, R, S = r._L, _by_question(r._alice, r._bob)[0], r._bob
     comm, anti = _pair_residuals(L, R, S)
     bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
 

@@ -32,8 +32,10 @@ the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,25 +85,87 @@ def _ideal_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return L, alice, bob
 
 
-@dataclass
 class ReflectionStrategy:
-    """Shared-state matrix L plus reflection families (treated as immutable)."""
+    """Shared-state matrix L plus reflection families, held as three read-only stacks.
 
-    L: np.ndarray
-    alice: dict[str, dict[int, np.ndarray]]
-    bob: dict[int, np.ndarray]
+    The stacks are laid out as _ideal_arrays' are: L (da, db), Alice's (5, 4, da, da) and Bob's (10, db, db).  The
+    constructor copies L, alice {j: {v: R[j][v]}} and bob {v: S[v]} into them, and r.L, r.alice[j][v] and r.bob[v]
+    are read-only views of them.  The axioms wait for the one gate, which runs when a measure first needs it; its
+    verdict is remembered, since nothing can change the stacks.
+    """
 
-    @property
-    def game(self) -> PentagramGame:
-        return STANDARD_GAME
+    def __new__(cls, L, alice, bob):
+        game = STANDARD_GAME
+        L = np.asarray(L, dtype=complex)
+        if L.ndim != 2 or not L.size:
+            raise InvalidStrategyError(f"L: shape {L.shape}, expected a nonempty matrix")
+        da, db = L.shape
+        contexts = [(j, _keys(alice[j], game.contexts[j], f"alice[{j}]")) for j in _keys(alice, game.context_names, "alice")]
+        ops = _stacked([(f"alice[{j}][{v}]", alice[j][v]) for j, vs in contexts for v in vs], (da, da))
+        bob = _stacked([(f"bob[{v}]", bob[v]) for v in _keys(bob, game.vertices, "bob")], (db, db))
+        return cls._from_arrays(_stacked([("L", L)], (da, db))[0], ops.reshape(5, 4, da, da), bob)
 
-    @property
-    def dim_a(self) -> int:
-        return self.L.shape[0]
+    @classmethod
+    def _from_arrays(cls, L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> ReflectionStrategy:
+        """A strategy that takes over complex stacks in its own layout, unchecked, and marks them read-only."""
+        r = object.__new__(cls)
+        for m in (L, alice, bob):
+            m.setflags(write=False)
+        r._L, r._alice, r._bob, r._views, r._verdict = L, alice, bob, None, None
+        return r
 
-    @property
-    def dim_b(self) -> int:
-        return self.L.shape[1]
+    def __reduce__(self):
+        # the read-only views do not pickle; rebuild from the stacks
+        return type(self)._from_arrays, (self._L, self._alice, self._bob)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stacks as one-row batches, the layout of the stacked kernels."""
+        return self._L[None], self._alice[None], self._bob[None]
+
+    def _gate(self) -> ValidationReport:
+        """The one gate's report, run on first use and remembered, pass or fail; raises StrategyValidationError."""
+        if self._verdict is None:
+            self._verdict = _validate_rows(*self._rows(), STRUCTURE_TOL)[0]
+        if not self._verdict.passed:
+            raise StrategyValidationError(self._verdict)
+        return self._verdict
+
+    def _mappings(self) -> tuple[Mapping[str, Mapping[int, np.ndarray]], Mapping[int, np.ndarray]]:
+        """The read-only alice {j: {v: R[j][v]}} and bob {v: S[v]} views, built on first use."""
+        if self._views is None:
+            game = STANDARD_GAME
+            alice = {j: MappingProxyType(dict(zip(game.contexts[j], ops))) for j, ops in zip(game.context_names, self._alice)}
+            self._views = MappingProxyType(alice), MappingProxyType(dict(zip(game.vertices, self._bob)))
+        return self._views
+
+    # read-only: a property without a setter refuses assignment
+    L = property(lambda self: self._L)
+    alice = property(lambda self: self._mappings()[0])
+    bob = property(lambda self: self._mappings()[1])
+    game = property(lambda self: STANDARD_GAME)
+    dim_a = property(lambda self: self._L.shape[0])
+    dim_b = property(lambda self: self._L.shape[1])
+
+
+def _keys(m, keys, name: str):
+    """keys, once the mapping m has exactly them; InvalidStrategyError names m otherwise."""
+    if set(m) != set(keys):
+        missing, extra = sorted(set(keys) - set(m)), sorted(set(m) - set(keys), key=repr)
+        raise InvalidStrategyError(f"{name}: missing keys {missing}, unexpected keys {extra}")
+    return keys
+
+
+def _stacked(named: list[tuple[str, object]], shape: tuple[int, int]) -> np.ndarray:
+    """The named matrices as one complex copy, (n, *shape), naming the first that is not a finite matrix of `shape`."""
+    mats = [np.asarray(m, dtype=complex) for _, m in named]
+    for (name, _), m in zip(named, mats):
+        if m.shape != shape:
+            raise InvalidStrategyError(f"{name}: shape {m.shape}, expected {shape}")
+    out = np.array(mats)
+    finite = np.isfinite(out.reshape(len(out), -1).view(float)).all(axis=1)
+    if not finite.all():
+        raise InvalidStrategyError(f"{named[int(np.argmin(finite))][0]}: non-finite entries")
+    return out
 
 
 @dataclass
@@ -124,13 +188,14 @@ class ProjectiveStrategy:
         return STANDARD_GAME
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """Worst-case Frobenius deviations from the reflection-strategy axioms.
 
     context_product is reported on the per-entry scale (Frobenius deviation
     divided by sqrt(dim)); all other fields are plain Frobenius norms, and
-    state_norm is | ||L|| - 1 |.
+    state_norm is | ||L|| - 1 |.  worst indexes the first four fields' worst
+    deviations in _validate_rows' order, for error messages.
     """
 
     hermiticity: float
@@ -140,6 +205,7 @@ class ValidationReport:
     state_norm: float
     tol: float
     passed: bool
+    worst: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def deviations(self) -> dict[str, float]:
         return {
@@ -151,17 +217,27 @@ class ValidationReport:
         }
 
 
+def _location(name: str, i: int) -> str:
+    """Where the i-th deviation of the validation field `name` lies, in _validate_rows' order."""
+    game = STANDARD_GAME
+    if name not in ("hermiticity", "involution"):
+        # one per context, and the commutators pair by pair, five contexts a pair
+        return f"context {game.context_names[i % 5]}"
+    return f"Bob vertex {game.vertices[i]}" if i < 10 else "Alice context {} vertex {}".format(*game.questions()[i - 10])
+
+
 class InvalidStrategyError(ValueError):
-    """A strategy that breaks its axioms beyond STRUCTURE_TOL."""
+    """A strategy that breaks its axioms beyond STRUCTURE_TOL, or whose keys, shapes or entries are wrong."""
 
 
 class StrategyValidationError(InvalidStrategyError):
-    """A reflection strategy that fails validate at STRUCTURE_TOL."""
+    """A reflection strategy that fails validate at STRUCTURE_TOL, naming where each failing axiom is worst."""
 
     def __init__(self, report: ValidationReport):
         self.report = report
+        where = {name: f" at {_location(name, i)}" for name, i in zip(report.deviations(), report.worst)}
         failing = ", ".join(
-            f"{name} {dev:.3e}" for name, dev in report.deviations().items() if not dev <= report.tol
+            f"{name} {dev:.3e}{where.get(name, '')}" for name, dev in report.deviations().items() if not dev <= report.tol
         )
         super().__init__(f"strategy failed validation at tol={report.tol}: {failing}")
 
@@ -172,25 +248,7 @@ def ideal_strategy() -> ReflectionStrategy:
     L is I/sqrt(8); both players measure the same per-vertex observable (the
     same matrix is used in every context containing the vertex).
     """
-    L, alice, bob = _ideal_arrays()
-    return _standard_strategy(L.copy(), alice.copy(), bob.copy())
-
-
-def _standard_strategy(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> ReflectionStrategy:
-    """A strategy from stacks laid out as _ideal_arrays' are."""
-    game = STANDARD_GAME
-    return ReflectionStrategy(
-        L=L,
-        alice={j: dict(zip(game.contexts[j], alice[ji])) for ji, j in enumerate(game.context_names)},
-        bob=dict(zip(game.vertices, bob)),
-    )
-
-
-def _stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r as one-row stacks: L (1, da, db), Alice (1, 5, 4, da, da), Bob (1, 10, db, db)."""
-    alice = [[r.alice[j][v] for v in STANDARD_GAME.contexts[j]] for j in STANDARD_GAME.context_names]
-    bob = [r.bob[v] for v in STANDARD_GAME.vertices]
-    return np.asarray(r.L, dtype=complex)[None], np.array([alice], dtype=complex), np.array([bob], dtype=complex)
+    return ReflectionStrategy._from_arrays(*_ideal_arrays())
 
 
 # Bob's stack index of each question's vertex, in game.questions() order.
@@ -202,14 +260,14 @@ _VERTEX_QUESTIONS = np.array(
 )
 
 
-def _question_stacks(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 20) stacks of R[j][v] and S[v] in game.questions() order, Alice's (5, 4) stack flattened."""
-    return alice.reshape(alice.shape[0], 20, *alice.shape[-2:]), bob[:, _QUESTION_VERTEX]
+def _by_question(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R[j][v] and S[v] in game.questions() order, (..., 20, d, d), of Alice's (..., 5, 4) and Bob's (..., 10) stacks."""
+    return alice.reshape(*alice.shape[:-4], 20, *alice.shape[-2:]), bob[..., _QUESTION_VERTEX, :, :]
 
 
 def _losing_terms(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[list[float]]:
     """Each row's 20 losing terms, in game.questions() order, in one stacked pass."""
-    R, S = _question_stacks(alice, bob)
+    R, S = _by_question(alice, bob)
     L, Ia, Ib = L[:, None], np.eye(L.shape[-2]), np.eye(L.shape[-1])
     up = _frobenius_norms(((Ia + R) / 2) @ L @ ((Ib - S) / 2))
     dn = _frobenius_norms(((Ia - R) / 2) @ L @ ((Ib + S) / 2))
@@ -223,7 +281,8 @@ def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     One minus the score equals the mean of this table; all 20 projector products run as one stacked
     pass.  Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    return dict(zip(r.game.questions(), _losing_terms(*_valid_stacks(r))[0]))
+    r._gate()
+    return dict(zip(r.game.questions(), _losing_terms(*r._rows())[0]))
 
 
 def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
@@ -233,7 +292,8 @@ def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
 
 def score(r: ReflectionStrategy) -> float:
     """Winning probability of r, raising StrategyValidationError unless r validates at STRUCTURE_TOL."""
-    return _scores(*_valid_stacks(r))[0]
+    r._gate()
+    return _scores(*r._rows())[0]
 
 
 # The six vertex pairs (a, b), a < b, of a four-vertex context.
@@ -262,11 +322,11 @@ def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
     fails.  Raises ValueError unless tol is finite and non-negative.
     """
     _check_tol(tol)
-    return _validate_rows(*_stacks(r), tol)[0]
+    return _validate_rows(*r._rows(), tol)[0]
 
 
 def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:
-    """validate for every row of strategy stacks, laid out as _stacks lays them, in one pass."""
+    """validate for every row of (B, ...) strategy stacks, in one pass."""
     n, da = alice.shape[0], alice.shape[-1]
     # an overflow shows as an inf or NaN deviation, which fails, so numpy
     # need not warn about it
@@ -286,25 +346,22 @@ def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float
         labels = np.array([STANDARD_GAME.labels[j] for j in STANDARD_GAME.context_names])[:, None, None]
         prod = _frobenius_norms(P - labels * np.eye(da)) / np.sqrt(da)
         state = np.abs(_frobenius_norms(L) - 1.0)
-    # np.max, unlike max(), keeps a NaN deviation, which then fails
-    devs = [np.max(np.concatenate(x, axis=1), axis=1) for x in (herm, invol, comm, [prod])]
-    return [ValidationReport(*map(float, row), tol, all(d <= tol for d in row)) for row in zip(*devs, state)]
+    families = [np.concatenate(x, axis=1) for x in (herm, invol, comm, [prod])]
+    # np.max and np.argmax, unlike max(), keep a NaN deviation, which then fails
+    devs, worst = [np.max(x, axis=1) for x in families], np.stack([np.argmax(x, axis=1) for x in families], axis=1)
+    return [
+        ValidationReport(*map(float, row), tol, all(d <= tol for d in row), tuple(map(int, at)))
+        for row, at in zip(zip(*devs, state), worst)
+    ]
 
 
 def _require_valid_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[ValidationReport]:
-    """The one gate: _validate_rows at STRUCTURE_TOL, raising StrategyValidationError at the first failing row."""
+    """The one gate on (B, ...) stacks: _validate_rows at STRUCTURE_TOL, raising at the first failing row."""
     reports = _validate_rows(L, alice, bob, STRUCTURE_TOL)
     for report in reports:
         if not report.passed:
             raise StrategyValidationError(report)
     return reports
-
-
-def _valid_stacks(r: ReflectionStrategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_stacks(r), once they have passed the one gate."""
-    stacks = _stacks(r)
-    _require_valid_rows(*stacks)
-    return stacks
 
 
 # Each context's 8 parity-valid outcome bits, (5, 8, 4): contexts in name order, bits over sorted vertices.
@@ -321,17 +378,17 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     eigenspaces, and psi flattens L.  All factors are built as one stack.
     Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    L, alice, bob = _valid_stacks(r)
+    r._gate()
     da, db = r.dim_a, r.dim_b
     # (5, 8, 4, da, da): every outcome's factor for every vertex of its context
-    factors = (np.eye(da) + (1.0 - 2.0 * _OUTCOMES)[..., None, None] * alice[0][:, None]) / 2
+    factors = (np.eye(da) + (1.0 - 2.0 * _OUTCOMES)[..., None, None] * r._alice[:, None]) / 2
     M = np.eye(da, dtype=complex)
     for i in range(factors.shape[2]):
         M = M @ factors[:, :, i]
-    pairs = np.stack([np.eye(db) + bob[0], np.eye(db) - bob[0]], axis=1) / 2
+    pairs = np.stack([np.eye(db) + r._bob, np.eye(db) - r._bob], axis=1) / 2
     alice = {j: dict(zip(map(tuple, ts), Mj)) for j, ts, Mj in zip(r.game.context_names, _OUTCOMES.tolist(), M)}
     bob = {v: tuple(pair) for v, pair in zip(r.game.vertices, pairs)}
-    return ProjectiveStrategy(psi=L[0].ravel().copy(), dim_a=da, dim_b=db, alice=alice, bob=bob)
+    return ProjectiveStrategy(psi=r._L.ravel().copy(), dim_a=da, dim_b=db, alice=alice, bob=bob)
 
 
 def _outcome_lists(p: ProjectiveStrategy) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
@@ -405,7 +462,7 @@ def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
         R += np.where(_OUTCOMES[:, i, :, None, None] == 0, A, -A)
     N0, N1 = (np.array(x, dtype=complex) for x in bob)
     L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
-    return _standard_strategy(L, R, N0 - N1)
+    return ReflectionStrategy._from_arrays(L, R, N0 - N1)
 
 
 def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
@@ -417,7 +474,7 @@ def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
     game = STANDARD_GAME
     alice = np.array([[strategy.alice[j][v] for v in game.contexts[j]] for j in game.context_names], dtype=complex)
     bob = np.array([strategy.bob[v] for v in game.vertices], dtype=complex)
-    return _standard_strategy(np.eye(1, dtype=complex), alice[..., None, None], bob[..., None, None])
+    return ReflectionStrategy._from_arrays(np.eye(1, dtype=complex), alice[..., None, None], bob[..., None, None])
 
 
 def reflection_to_json(r: ReflectionStrategy) -> dict:
@@ -495,12 +552,13 @@ def strategy_from_json(obj: dict):
         L = _decode(obj["L"], "L", (da, db))
         R = _section(obj["R"], "R", game.context_names)
         S = _section(obj.get("S"), "S", game.vertices)
-        alice = {}
+        alice = []
         for j in game.context_names:
             ctx = _section(R[j], f"R.{j}", game.contexts[j])
-            alice[j] = {v: _decode(ctx[str(v)], f"R.{j}.{v}", (da, da)) for v in game.contexts[j]}
-        bob = {v: _decode(S[str(v)], f"S.{v}", (db, db)) for v in game.vertices}
-        return ReflectionStrategy(L=L, alice=alice, bob=bob)
+            alice.append([_decode(ctx[str(v)], f"R.{j}.{v}", (da, da)) for v in game.contexts[j]])
+        bob = [_decode(S[str(v)], f"S.{v}", (db, db)) for v in game.vertices]
+        # every matrix is checked here, so the stacks go to the strategy unchecked
+        return ReflectionStrategy._from_arrays(L, np.array(alice), np.array(bob))
     if "psi" in obj and "M" in obj:
         da, db = _dims(obj)
         psi = _decode(obj["psi"], "psi", (da * db, 1)).ravel()
@@ -516,11 +574,3 @@ def strategy_from_json(obj: dict):
             bob[v] = tuple(_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01")
         return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
     raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")
-
-
-def load_reflection(obj: dict) -> ReflectionStrategy:
-    """Decode a strategy file and convert to reflection form if needed."""
-    s = strategy_from_json(obj)
-    if isinstance(s, ProjectiveStrategy):
-        return to_reflection(s)
-    return s

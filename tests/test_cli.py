@@ -180,7 +180,7 @@ class TestExitCodes:
 
         code, out, err = run(capsys, "score", "--in", str(broken))
         assert (code, out) == (2, "")
-        assert err == "validation failure: strategy failed validation at tol=1e-10: involution 2.121e+00\n"
+        assert err == "validation failure: strategy failed validation at tol=1e-10: involution 2.121e+00 at Bob vertex 1\n"
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

@@ -59,12 +59,10 @@ from pentagram.strategies import (
     ReflectionStrategy,
     ValidationReport,
     _check_projective,
+    _by_question,
     _check_tol,
-    _question_stacks,
     _reflection_form,
-    _stacks,
-    _standard_strategy,
-    _valid_stacks,
+    _require_valid_rows,
     classical_embedding,
     ideal_strategy,
     losing_terms,
@@ -96,9 +94,15 @@ def ref_random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return h / np.max(np.abs(np.linalg.eigvalsh(h)))
 
 
+def ideal_parts():
+    """The ideal strategy's L, alice and bob as dicts the references may reassign, then build from."""
+    r = ideal_strategy()
+    return r, r.L, {j: dict(ctx) for j, ctx in r.alice.items()}, dict(r.bob)
+
+
 def ref_perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
     rng = np.random.default_rng(spec.seed)
-    r = ideal_strategy()
+    r, L, alice, bob = ideal_parts()
     active = spec.delta > 0.0
     alice_on = active and spec.mode in ("context-unitaries", "combined")
     bob_on = active and spec.mode in ("bob-unitaries", "combined")
@@ -108,31 +112,30 @@ def ref_perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
         for j in r.game.context_names:
             u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_a), spec.delta)
             for v in r.game.contexts[j]:
-                r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
+                alice[j][v] = u @ alice[j][v] @ u.conj().T
     if bob_on:
         for v in r.game.vertices:
             u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_b), spec.delta)
-            r.bob[v] = u @ r.bob[v] @ u.conj().T
+            bob[v] = u @ bob[v] @ u.conj().T
     if state_on:
-        w = rng.standard_normal(r.L.shape) + 1j * rng.standard_normal(r.L.shape)
+        w = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
         w /= np.linalg.norm(w)
-        L = r.L + spec.delta * w
-        r.L = L / np.linalg.norm(L)
-    return r
+        L = L + spec.delta * w
+        L = L / np.linalg.norm(L)
+    return ReflectionStrategy(L=L, alice=alice, bob=bob)
 
 
 def ref_random_strategy(seed: int) -> ReflectionStrategy:
     rng = np.random.default_rng(seed)
-    r = ideal_strategy()
+    r, _, alice, bob = ideal_parts()
     for j in r.game.context_names:
         u = haar_unitary(rng, r.dim_a)
         for v in r.game.contexts[j]:
-            r.alice[j][v] = u @ r.alice[j][v] @ u.conj().T
+            alice[j][v] = u @ alice[j][v] @ u.conj().T
     for v in r.game.vertices:
-        r.bob[v] = random_reflection(rng, r.dim_b)
+        bob[v] = random_reflection(rng, r.dim_b)
     L = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal((r.dim_a, r.dim_b))
-    r.L = L / np.linalg.norm(L)
-    return r
+    return ReflectionStrategy(L=L / np.linalg.norm(L), alice=alice, bob=bob)
 
 
 def ref_losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -413,8 +416,7 @@ CHANGE_WORDS = ((2, 3, 4, 5, 6), 20, 0)
 
 def row_stacks(r: ReflectionStrategy):
     """certify's one-row stacks: L (da, db), questions R (20, da, da) and Bob's S (10, db, db)."""
-    L, alice, bob = _stacks(r)
-    return L[0], _question_stacks(alice, bob)[0][0], bob[0]
+    return r.L, _by_question(r._alice, r._bob)[0], r._bob
 
 
 def assert_kernels_match(r: ReflectionStrategy):
@@ -452,9 +454,9 @@ def test_perturbed_matches_loops(mode, delta):
         # one draw serves every scale, as in calibrate_delta's bisection
         draw = _draw(seed, mode)
         for d in DELTAS:
-            assert_same_strategy(_standard_strategy(*_apply(draw, d)), ref_perturbed(PerturbationSpec(d, seed, mode)))
+            assert_same_strategy(ReflectionStrategy._from_arrays(*_apply(draw, d)), ref_perturbed(PerturbationSpec(d, seed, mode)))
         r = perturb_ideal(PerturbationSpec(delta, seed, mode))
-        assert_same_strategy(r, _standard_strategy(*_apply(draw, delta)))
+        assert_same_strategy(r, ReflectionStrategy._from_arrays(*_apply(draw, delta)))
         assert_kernels_match(r)
 
     check()
@@ -475,15 +477,13 @@ def junk_register_strategy(seed: int = 9, delta: float = 0.05, junk_dims=(4, 4))
 
     The default, a 4x4 junk register, gives da = db = 32.
     """
-    r = _standard_strategy(*_apply(_draw(seed, "combined"), delta))
+    r = perturb_ideal(PerturbationSpec(delta, seed, "combined"))
     ia, ib = (np.eye(n) for n in junk_dims)
-    for j in r.game.context_names:
-        r.alice[j] = {v: np.kron(m, ia) for v, m in r.alice[j].items()}
-    r.bob = {v: np.kron(m, ib) for v, m in r.bob.items()}
+    alice = {j: {v: np.kron(m, ia) for v, m in ctx.items()} for j, ctx in r.alice.items()}
+    bob = {v: np.kron(m, ib) for v, m in r.bob.items()}
     rng = np.random.default_rng(seed)
     junk = rng.standard_normal(junk_dims) + 1j * rng.standard_normal(junk_dims)
-    r.L = np.kron(r.L, junk / np.linalg.norm(junk))
-    return r
+    return ReflectionStrategy(L=np.kron(r.L, junk / np.linalg.norm(junk)), alice=alice, bob=bob)
 
 
 # the junk benchmark's eight words, one X and one Z reflection per side at lengths 1 and 3, and two mixed words
@@ -541,8 +541,9 @@ def assert_core_rows_match(rs: list[ReflectionStrategy], bell_weights: bool = Tr
 
     bell_weights=False leaves out the Bell weights and the state residual summed from them.
     """
-    L, alice, bob = (np.concatenate(x) for x in zip(*map(_stacks, rs)))
-    reports, epsilon, consistency, ops, states = _core(L, alice, bob)
+    L, alice, bob = (np.concatenate(x) for x in zip(*(r._rows() for r in rs)))
+    reports = _require_valid_rows(L, alice, bob)
+    epsilon, consistency, ops, states = _core(L, alice, bob)
     for i, r in enumerate(rs):
         report, eps, cons, op, ext = ref_core(r)
         assert reports[i] == report
@@ -563,7 +564,7 @@ def test_core_matches_per_row_core(mode):
     def check(seed):
         # one row alone, then the three deltas of one draw as one stack
         draw = _draw(seed, mode)
-        rows = [_standard_strategy(*_apply(draw, d)) for d in (1e-4, 0.3, 1.0)]
+        rows = [ReflectionStrategy._from_arrays(*_apply(draw, d)) for d in (1e-4, 0.3, 1.0)]
         for r in rows:
             assert_core_rows_match([r])
         assert_core_rows_match(rows)
@@ -621,7 +622,7 @@ def test_change_words_match_loops(seed):
 
 
 def ref_to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
-    _valid_stacks(r)
+    r._gate()
     da, db = r.dim_a, r.dim_b
     alice: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
     for j in r.game.context_names:

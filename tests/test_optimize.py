@@ -18,7 +18,16 @@ from pentagram.optimize import (
     scaling_study,
 )
 from pentagram.rigidity import certify
-from pentagram.strategies import StrategyValidationError, _standard_strategy, ideal_strategy, score, validate
+from pentagram.strategies import (
+    ReflectionStrategy,
+    StrategyValidationError,
+    ideal_strategy,
+    score,
+    to_projective,
+    to_reflection,
+    validate,
+)
+from rebuild import replaced
 
 
 def _strategies_equal(a, b):
@@ -104,12 +113,11 @@ class TestBobBestResponse:
         assert abs(score(improved) - 1.0) <= 1e-12
 
     def test_recovers_ideal_from_random_bob(self):
-        rng = np.random.default_rng(5)
-        r = ideal_strategy()
-        for v in r.game.vertices:
-            from pentagram.optimize import random_reflection
+        from pentagram.optimize import random_reflection
 
-            r.bob[v] = random_reflection(rng, 8)
+        rng = np.random.default_rng(5)
+        ideal = ideal_strategy()
+        r = replaced(ideal, bob={v: random_reflection(rng, 8) for v in ideal.game.vertices})
         assert score(r) < 0.99
         assert abs(score(bob_best_response(r)) - 1.0) <= 1e-12
 
@@ -130,22 +138,21 @@ class TestBobBestResponse:
         assert validate(r, 1e-10).passed
 
 
-def test_results_share_no_memory_with_their_inputs():
-    # a complex L reaches bob_best_response's stacks as a view, and
-    # random_strategy starts from the read-only ideal arrays
+def test_results_cannot_write_what_they_share():
+    # a best response shares its input's L and Alice, and generated strategies the read-only ideal arrays
     r = random_strategy(3)
-    before = [r.L.copy(), r.alice["C"][2].copy()]
-    br = bob_best_response(r)
-    br.L[0, 0] += 1.0
-    br.alice["C"][2][0, 0] += 1.0
-    assert np.array_equal(r.L, before[0])
-    assert np.array_equal(r.alice["C"][2], before[1])
-    ideal = ideal_strategy()
-    s = random_strategy(4)
-    s.L[0, 0] += 1.0
-    s.alice["C"][2][0, 0] += 1.0
-    s.bob[2][0, 0] += 1.0
-    assert _strategies_equal(ideal_strategy(), ideal)
+    generated = [
+        r,
+        bob_best_response(r),
+        ideal_strategy(),
+        perturb_ideal(PerturbationSpec(1e-2, 5, "bob-unitaries")),
+        to_reflection(to_projective(r)),
+    ]
+    for s in generated:
+        for m in (s.L, s.alice["C"][2], s.bob[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] += 1.0
+    assert _strategies_equal(ideal_strategy(), generated[2])
 
 
 class TestCalibration:
@@ -236,7 +243,7 @@ class TestScalingStudy:
             covered.extend(m.tobytes() for m in L)
             return strategies._require_valid_rows(L, alice, bob)
 
-        monkeypatch.setattr(rigidity, "_require_valid_rows", counting)
+        monkeypatch.setattr(optimize, "_require_valid_rows", counting)
         rows, _ = scaling_study([1e-3, 1e-2], 9, seed=4)
         assert len(rows) == 18 > optimize._CHUNK_ROWS
         own = [perturb_ideal(PerturbationSpec(row.delta, row.seed)).L.tobytes() for row in rows]
@@ -266,7 +273,7 @@ class TestScalingStudy:
             elif len(drawn) == 3:
                 b = b.copy()
                 b[0] = b[0] / 2
-            drawn.append(_standard_strategy(L, a, b))
+            drawn.append(ReflectionStrategy._from_arrays(L, a, b))
             return L, a, b
 
         monkeypatch.setattr(optimize, "_apply", breaking)

@@ -27,7 +27,8 @@ from pentagram.rigidity import (
     report_to_json,
     word_residual,
 )
-from pentagram.strategies import StrategyValidationError, _stacks, ideal_strategy, losing_terms, score
+from pentagram.strategies import ReflectionStrategy, StrategyValidationError, ideal_strategy, losing_terms, score
+from rebuild import replaced
 from test_loop_references import ref_select_distinguished
 
 
@@ -78,7 +79,7 @@ class TestDistinguished:
     """The simulated Paulis rigidity._primes gathers, against the vertex tables they come from."""
 
     def test_ideal_table(self, ideal):
-        primes = rigidity._primes(*_stacks(ideal)[1:])
+        primes = rigidity._primes(*ideal._rows()[1:])
         np.testing.assert_allclose(primes["alice"][0, 0], kron_all([PAULI_X, np.eye(2), np.eye(2)]), atol=1e-15)
         np.testing.assert_allclose(primes["alice"][0, 1], kron_all([PAULI_Z, np.eye(2), np.eye(2)]), atol=1e-15)
         for i in (1, 2, 3):
@@ -101,7 +102,7 @@ class TestDistinguished:
 
     def test_selection_uses_designated_contexts(self):
         r = perturb_ideal(PerturbationSpec(0.05, 3, "context-unitaries"))
-        primes = rigidity._primes(*_stacks(r)[1:])
+        primes = rigidity._primes(*r._rows()[1:])
         for k, key in enumerate(rigidity._OP_KEYS):
             i = int(key[1])
             v = (X_PRIME_VERTEX if key[0] == "X" else Z_PRIME_VERTEX)[i]
@@ -191,10 +192,8 @@ class TestExtraction:
         # conjugating Alice by X on register 1 flips her Z'-type operator
         # there, so the extracted pair on that register becomes psi+
         x1 = np.kron(PAULI_X, np.eye(4))
-        for j in ideal.game.context_names:
-            for v in ideal.game.contexts[j]:
-                ideal.alice[j][v] = x1 @ ideal.alice[j][v] @ x1
-        ext = extract_state(ideal)
+        alice = {j: {v: x1 @ m @ x1 for v, m in ctx.items()} for j, ctx in ideal.alice.items()}
+        ext = extract_state(replaced(ideal, alice=alice))
         assert ext.bell_weights[("psi+", "phi+", "phi+")] == pytest.approx(1.0, abs=1e-10)
         assert ext.bell_weights[PHI_TRIPLE] <= 1e-10
 
@@ -236,9 +235,8 @@ class TestCertify:
         assert sorted(report.change_word_residuals) == [2, 3, 4, 5, 6]
 
     def test_invalid_strategy_rejected(self, ideal):
-        ideal.bob[1] = 0.5 * ideal.bob[1]
         with pytest.raises(StrategyValidationError):
-            certify(ideal)
+            certify(replaced(ideal, bob={1: 0.5 * ideal.bob[1]}))
 
     def test_consistency_bound_hard(self):
         for seed in range(5):
@@ -368,15 +366,11 @@ def _enlarged_strategy(seed, k):
     """random_strategy(seed) tensored with a k-dimensional junk space on each side."""
     r = random_strategy(seed)
     ik = np.eye(k)
-    for j in r.game.context_names:
-        for v in r.game.contexts[j]:
-            r.alice[j][v] = np.kron(r.alice[j][v], ik)
-    for v in r.game.vertices:
-        r.bob[v] = np.kron(r.bob[v], ik)
+    alice = {j: {v: np.kron(m, ik) for v, m in ctx.items()} for j, ctx in r.alice.items()}
+    bob = {v: np.kron(m, ik) for v, m in r.bob.items()}
     rng = np.random.default_rng(seed)
     L = rng.standard_normal((8 * k, 8 * k)) + 1j * rng.standard_normal((8 * k, 8 * k))
-    r.L = L / np.linalg.norm(L)
-    return r
+    return ReflectionStrategy(L=L / np.linalg.norm(L), alice=alice, bob=bob)
 
 
 class TestAgainstDenseReference:
@@ -415,15 +409,15 @@ class TestAgainstDenseReference:
 
 
 def _double_state(r):
-    r.L = 2 * r.L
+    return replaced(r, L=2 * r.L)
 
 
 def _negate_g1(r):
-    r.alice["G"][1] = -r.alice["G"][1]
+    return replaced(r, alice={"G": {1: -r.alice["G"][1]}})
 
 
 def _zero_state(r):
-    r.L = 0 * r.L
+    return replaced(r, L=0 * r.L)
 
 
 @pytest.mark.parametrize(
@@ -450,9 +444,8 @@ def _zero_state(r):
 )
 def test_every_residual_requires_a_valid_strategy(ideal, measure, breaks):
     # no defect touches Bob's simulated Paulis, which the word uses
-    breaks(ideal)
     with pytest.raises(StrategyValidationError):
-        measure(ideal)
+        measure(breaks(ideal))
 
 
 def test_certify_builds_each_isometry_once(monkeypatch):

@@ -1,21 +1,25 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
+from rebuild import replaced
 
 from pentagram import strategies
 from pentagram.game import STANDARD_GAME, PentagramGame, best_classical_strategy, parity_assignments
 from pentagram.linalg import PAULI_Z, frobenius_norm, kron_all
 from pentagram.optimize import PerturbationSpec, calibrate_delta, perturb_ideal, random_strategy
-from pentagram.rigidity import certify
+from pentagram.rigidity import certify, word_residual
 from pentagram.strategies import (
     IDEAL_OBSERVABLES,
+    InvalidStrategyError,
     ProjectiveStrategy,
     ReflectionStrategy,
     StrategyValidationError,
     classical_embedding,
     ideal_strategy,
-    load_reflection,
     losing_terms,
     projective_to_json,
     reflection_to_json,
@@ -98,9 +102,9 @@ class TestScore:
         assert abs(score(r) - float(value)) <= 1e-12
 
     def test_single_flipped_bob_reflection(self, ideal):
-        ideal.bob[6] = -ideal.bob[6]
-        assert abs(score(ideal) - (1.0 - 2.0 / 20.0)) <= 1e-12
-        terms = losing_terms(ideal)
+        r = replaced(ideal, bob={6: -ideal.bob[6]})
+        assert abs(score(r) - (1.0 - 2.0 / 20.0)) <= 1e-12
+        terms = losing_terms(r)
         assert terms[("E", 6)] == pytest.approx(1.0, abs=1e-12)
         assert terms[("F", 6)] == pytest.approx(1.0, abs=1e-12)
 
@@ -189,9 +193,7 @@ class TestConversions:
                 assert abs(np.trace(M).real - 1.0) <= 1e-12
 
     def test_identity_context_collapses_to_single_outcome(self, ideal):
-        for v in ideal.game.contexts["C"]:
-            ideal.alice["C"][v] = np.eye(8, dtype=complex)
-        p = to_projective(ideal)
+        p = to_projective(replaced(ideal, alice={"C": {v: np.eye(8, dtype=complex) for v in ideal.game.contexts["C"]}}))
         all_zero = (0, 0, 0, 0)
         np.testing.assert_allclose(p.alice["C"][all_zero], np.eye(8), atol=1e-14)
         for t, M in p.alice["C"].items():
@@ -241,9 +243,8 @@ class TestConversions:
             assert abs(total - 1.0) <= 1e-12
 
     def test_invalid_reflection_strategy_rejected(self, ideal):
-        ideal.alice["C"][2] = 0.5 * ideal.alice["C"][2]
         with pytest.raises(ValueError):
-            to_projective(ideal)
+            to_projective(replaced(ideal, alice={"C": {2: 0.5 * ideal.alice["C"][2]}}))
 
     def test_invalid_projective_strategy_rejected(self, ideal):
         p = to_projective(ideal)
@@ -255,21 +256,18 @@ class TestConversions:
 
 class TestValidationReport:
     def test_halved_reflection_deviation(self, ideal):
-        ideal.bob[3] = 0.5 * ideal.bob[3]
-        report = validate(ideal, 1e-10)
+        report = validate(replaced(ideal, bob={3: 0.5 * ideal.bob[3]}), 1e-10)
         assert not report.passed
         assert report.involution == pytest.approx(0.75 * np.sqrt(8), abs=1e-12)
 
     def test_negated_context_product(self, ideal):
-        ideal.alice["C"][2] = -ideal.alice["C"][2]
-        report = validate(ideal, 1e-10)
+        report = validate(replaced(ideal, alice={"C": {2: -ideal.alice["C"][2]}}), 1e-10)
         assert not report.passed
         # reported on the per-entry scale: ||I - (-I)||_F / sqrt(dim) = 2
         assert report.context_product == pytest.approx(2.0, abs=1e-12)
 
     def test_state_norm_deviation(self, ideal):
-        ideal.L = 2.0 * ideal.L
-        report = validate(ideal, 1e-10)
+        report = validate(replaced(ideal, L=2.0 * ideal.L), 1e-10)
         assert report.state_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -316,8 +314,6 @@ class TestStandardGame:
         with pytest.raises(TypeError):
             strategy_from_json(obj, game=STANDARD_GAME)
         with pytest.raises(TypeError):
-            load_reflection(obj, game=STANDARD_GAME)
-        with pytest.raises(TypeError):
             classical_embedding(witness, game=STANDARD_GAME)
 
     def test_every_strategy_shares_the_standard_game(self, ideal):
@@ -327,8 +323,8 @@ class TestStandardGame:
             ideal,
             p,
             to_reflection(p),
-            load_reflection(json.loads(json.dumps(projective_to_json(p)))),
-            load_reflection(json.loads(json.dumps(reflection_to_json(ideal)))),
+            to_reflection(strategy_from_json(json.loads(json.dumps(projective_to_json(p))))),
+            strategy_from_json(json.loads(json.dumps(reflection_to_json(ideal)))),
             perturb_ideal(PerturbationSpec(0.02, 9)),
             classical_embedding(witness),
         ]
@@ -344,25 +340,163 @@ class TestValidationGate:
     """One check at STRUCTURE_TOL, one error, for every caller that refuses."""
 
     def test_halved_reflection_refused_alike(self, ideal):
-        ideal.bob[1] = 0.5 * ideal.bob[1]
+        r = replaced(ideal, bob={1: 0.5 * ideal.bob[1]})
         messages = set()
         for refuse in (to_projective, certify):
             with pytest.raises(StrategyValidationError) as caught:
-                refuse(ideal)
+                refuse(r)
             messages.add(str(caught.value))
-        assert messages == {"strategy failed validation at tol=1e-10: involution 2.121e+00"}
+        assert messages == {"strategy failed validation at tol=1e-10: involution 2.121e+00 at Bob vertex 1"}
 
     def test_generated_strategies_go_through_the_gate(self, monkeypatch):
         measure = strategies._validate_rows
 
         def failing(L, alice, bob, tol):
-            reports = measure(L, alice, bob, tol)
-            for report in reports:
-                report.involution, report.passed = 1.0, False
-            return reports
+            return [dataclasses.replace(report, involution=1.0, passed=False) for report in measure(L, alice, bob, tol)]
 
         monkeypatch.setattr(strategies, "_validate_rows", failing)
         with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
             perturb_ideal(PerturbationSpec(0.01, 5))
         with pytest.raises(StrategyValidationError, match="involution 1.000e[+]00"):
             calibrate_delta(1e-3, seed=3)
+
+
+def _parts(r):
+    """r's L, alice and bob as fresh, writable dicts of copies."""
+    alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
+    return r.L.copy(), alice, {v: m.copy() for v, m in r.bob.items()}
+
+
+# Each edit breaks the structure of _parts' dicts in place and returns the L to build with.
+def _drop_vertex(L, alice, bob):
+    del bob[7]
+    return L
+
+
+def _extra_context(L, alice, bob):
+    alice["H"] = dict(alice["C"])
+    return L
+
+
+def _extra_vertex(L, alice, bob):
+    alice["G"][5] = alice["G"][4]
+    return L
+
+
+def _small_operator(L, alice, bob):
+    alice["E"][6] = np.eye(4)
+    return L
+
+
+def _vector_state(L, alice, bob):
+    return L.ravel()
+
+
+def _nan_entry(L, alice, bob):
+    bob[9][2, 3] = np.nan
+    return L
+
+
+def _inf_state(L, alice, bob):
+    L[0, 0] = np.inf
+    return L
+
+
+class TestConstructor:
+    """The constructor parses keys, shapes and entries; the axioms wait for the gate."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_drop_vertex, r"bob: missing keys \[7\], unexpected keys \[\]"),
+            (_extra_context, r"alice: missing keys \[\], unexpected keys \['H'\]"),
+            (_extra_vertex, r"alice\[G\]: missing keys \[\], unexpected keys \[5\]"),
+            (_small_operator, r"alice\[E\]\[6\]: shape \(4, 4\), expected \(8, 8\)"),
+            (_vector_state, r"L: shape \(64,\), expected a nonempty matrix"),
+            (_nan_entry, r"bob\[9\]: non-finite entries"),
+            (_inf_state, r"L: non-finite entries"),
+        ],
+        ids=["missing-vertex", "extra-context", "extra-vertex", "wrong-shape", "vector-state", "nan", "inf"],
+    )
+    def test_structure_named(self, ideal, edit, message):
+        L, alice, bob = _parts(ideal)
+        L = edit(L, alice, bob)
+        with pytest.raises(InvalidStrategyError, match=message):
+            ReflectionStrategy(L=L, alice=alice, bob=bob)
+
+    def test_views_are_read_only(self, ideal):
+        with pytest.raises(AttributeError):
+            ideal.L = 2 * ideal.L
+        with pytest.raises(AttributeError):
+            ideal.alice = {}
+        with pytest.raises(TypeError):
+            ideal.alice["C"][2] = np.eye(8)
+        with pytest.raises(TypeError):
+            ideal.alice["C"] = {}
+        with pytest.raises(TypeError):
+            ideal.bob[3] = np.eye(8)
+        for m in (ideal.L, ideal.alice["C"][2], ideal.bob[3]):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+
+    def test_inputs_are_copied(self, ideal):
+        L, alice, bob = _parts(ideal)
+        r, other = ReflectionStrategy(L=L, alice=alice, bob=bob), ReflectionStrategy(L=L, alice=alice, bob=bob)
+        assert score(r) == 1.0
+        L[0, 0] = 0.0
+        alice["C"][2][0, 0] = 5.0
+        bob[3] *= 0.5
+        # neither the strategy gated before the writes nor the one gated after sees them
+        assert score(r) == score(other) == 1.0
+        assert validate(r, 1e-10).passed
+        assert np.array_equal(r.L, ideal.L) and np.array_equal(r.bob[3], ideal.bob[3])
+        assert np.array_equal(r.alice["C"][2], ideal.alice["C"][2])
+
+    def test_copy_and_pickle_round_trip(self):
+        r = perturb_ideal(PerturbationSpec(0.01, 5))
+        assert r.alice["C"][2] is r.alice["C"][2]
+        for other in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert other is not r and score(other) == score(r)
+            assert np.array_equal(other.L, r.L) and np.array_equal(other.bob[4], r.bob[4])
+            assert all(np.array_equal(other.alice[j][v], m) for j, ctx in r.alice.items() for v, m in ctx.items())
+            with pytest.raises(ValueError, match="read-only"):
+                other.alice["C"][2][0, 0] = 1.0
+
+
+class TestGateOnce:
+    """A strategy passes the gate once, when a measure first needs it, and remembers the verdict."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls, measure = [], strategies._validate_rows
+
+        def counting(L, alice, bob, tol):
+            calls.append(len(L))
+            return measure(L, alice, bob, tol)
+
+        monkeypatch.setattr(strategies, "_validate_rows", counting)
+        return calls
+
+    def test_eight_words_gate_once(self, calls):
+        r = perturb_ideal(PerturbationSpec(0.01, 5))
+        assert calls == [1]
+        for label in ("X1", "Z3", "X4", "Z6"):
+            for n in (1, 3):
+                word_residual(r, [label] * n)
+        assert calls == [1]
+
+    def test_certify_then_score_gate_once(self, calls):
+        r = random_strategy(3)
+        report = certify(r)
+        assert score(r) == 1.0 - report.epsilon
+        losing_terms(r)
+        to_projective(r)
+        assert calls == [1]
+        assert certify(r).validation is report.validation
+
+    def test_failing_verdict_remembered(self, calls, ideal):
+        r = replaced(ideal, alice={"G": {1: -ideal.alice["G"][1]}})
+        for _ in range(2):
+            with pytest.raises(StrategyValidationError, match="context_product 2.000e[+]00 at context G$"):
+                score(r)
+        assert calls == [1]
