@@ -23,9 +23,9 @@ which a strategy runs on itself once; anything else raises
 StrategyValidationError.  build_isometry's bare operators pass the gate's own
 reflection test.  Measures read a strategy's read-only stacks directly, and
 stacked (B, ...) strategies that passed the gate go through one certificate
-core: a sweep passes many rows, certify, extract_state and
-consistency_residuals one, while word_residual builds only its side's
-isometry.  No row depends on its batch.  certify's certify-only families
+core: a sweep passes many rows and certify one, while extract_state builds
+both isometries, word_residual only its side's and consistency_residuals
+none.  No row depends on its batch.  certify's certify-only families
 (context changes, pair commutators and anticommutators, a fixed sample of
 change words) read the same stacks, through index tables built at import.
 """
@@ -230,7 +230,15 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     r._gate()
-    return dict(zip(r.game.questions(), map(float, _core(*r._rows())[1][0])))
+    return dict(zip(r.game.questions(), map(float, _consistency(*r._rows())[0])))
+
+
+def _consistency(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """(B, 20) consistency residuals of stacked strategies, in game.questions() order."""
+    R, S = _by_question(alice, bob)
+    consistency = R @ L[:, None]
+    consistency -= L[:, None] @ S
+    return _frobenius_norms(consistency)
 
 
 def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
@@ -346,7 +354,8 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     r._gate()
-    return _core(*r._rows())[3][0]
+    L, alice, bob = r._rows()
+    return _extract_states(_images(L, _primes(alice, bob)))[0]
 
 
 def _context_changes(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -439,10 +448,7 @@ def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     images = _images(L, primes)
     epsilon = [sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
     ops = _operator_residuals(L, primes, images)
-    R, S = _by_question(alice, bob)
-    consistency = R @ L[:, None]
-    consistency -= L[:, None] @ S
-    return epsilon, _frobenius_norms(consistency), ops, _extract_states(images)
+    return epsilon, _consistency(L, alice, bob), ops, _extract_states(images)
 
 
 def certify(r: ReflectionStrategy) -> RigidityReport:

@@ -16,8 +16,8 @@ strategy every operator is real symmetric, so the distinction vanishes.
 A *projective strategy* is the operational form: a shared unit vector psi,
 an 8-outcome projective measurement per context for Alice (outcomes are the
 parity-valid sign assignments, in _OUTCOMES order) and a binary projective
-measurement per vertex for Bob.  The two forms convert into each other
-exactly; both conversions and the projective check run on stacks.
+measurement per vertex for Bob.  Both forms hold one read-only stack layout
+and convert into each other exactly, on the stacks.
 
 Scoring uses the projector form of the losing probability,
 
@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .game import STANDARD_GAME, ClassicalStrategy, PentagramGame, parity_assignments
+from .game import STANDARD_GAME, ClassicalStrategy, parity_assignments
 from .linalg import (
     ID2,
     PAULI_X,
@@ -85,7 +85,59 @@ def _ideal_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return L, alice, bob
 
 
-class ReflectionStrategy:
+# Each context's 8 parity-valid outcome bits, (5, 8, 4): contexts in name order, bits over sorted vertices.
+_OUTCOMES = np.array([parity_assignments(STANDARD_GAME, j) for j in STANDARD_GAME.context_names])
+
+
+class _StackedStrategy:
+    """A strategy held as three read-only stacks: L (da, db), Alice's (5, n, da, da) and Bob's (10, ..., db, db).
+
+    A subclass names its Alice view's keys in _ALICE_KEYS: each context's n keys, contexts in name order.
+    """
+
+    _views = None
+
+    @classmethod
+    def _parsed(cls, L: np.ndarray, alice, bob, bob_axes: tuple[int, ...]):
+        """A strategy of L and copies of alice {j: {key: m}} and bob {v: m}, naming any wrong key, shape or entry."""
+        game, (da, db) = STANDARD_GAME, L.shape
+        names = _keys(alice, game.context_names, "alice")
+        contexts = [(j, _keys(alice[j], keys, f"alice[{j}]")) for j, keys in zip(names, cls._ALICE_KEYS)]
+        ops = _stacked([(f"alice[{j}][{k}]", alice[j][k]) for j, keys in contexts for k in keys], (da, da))
+        bob = _stacked([(f"bob[{v}]", bob[v]) for v in _keys(bob, game.vertices, "bob")], (*bob_axes, db, db))
+        return cls._from_arrays(L, ops.reshape(5, -1, da, da), bob)
+
+    @classmethod
+    def _from_arrays(cls, L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
+        """A strategy that takes over complex stacks in its own layout, unchecked, and marks them read-only."""
+        s = object.__new__(cls)
+        for m in (L, alice, bob):
+            m.setflags(write=False)
+        s._L, s._alice, s._bob = L, alice, bob
+        return s
+
+    def __reduce__(self):
+        # the read-only views do not pickle; rebuild from the stacks
+        return type(self)._from_arrays, (self._L, self._alice, self._bob)
+
+    def _mappings(self) -> tuple[Mapping[str, Mapping], Mapping[int, np.ndarray]]:
+        """The read-only alice {j: {key: m}} and bob {v: m} views, built on first use."""
+        if self._views is None:
+            named = zip(STANDARD_GAME.context_names, self._ALICE_KEYS, self._alice)
+            alice = {j: MappingProxyType(dict(zip(keys, ops))) for j, keys, ops in named}
+            self._views = MappingProxyType(alice), MappingProxyType(dict(zip(STANDARD_GAME.vertices, self._bob)))
+        return self._views
+
+    # read-only: a property without a setter refuses assignment
+    L = property(lambda self: self._L)
+    alice = property(lambda self: self._mappings()[0])
+    bob = property(lambda self: self._mappings()[1])
+    game = property(lambda self: STANDARD_GAME)
+    dim_a = property(lambda self: self._L.shape[0])
+    dim_b = property(lambda self: self._L.shape[1])
+
+
+class ReflectionStrategy(_StackedStrategy):
     """Shared-state matrix L plus reflection families, held as three read-only stacks.
 
     The stacks are laid out as _ideal_arrays' are: L (da, db), Alice's (5, 4, da, da) and Bob's (10, db, db).  The
@@ -94,29 +146,14 @@ class ReflectionStrategy:
     verdict is remembered, since nothing can change the stacks.
     """
 
+    _ALICE_KEYS = [STANDARD_GAME.contexts[j] for j in STANDARD_GAME.context_names]
+    _verdict = None
+
     def __new__(cls, L, alice, bob):
-        game = STANDARD_GAME
         L = np.asarray(L, dtype=complex)
         if L.ndim != 2 or not L.size:
             raise InvalidStrategyError(f"L: shape {L.shape}, expected a nonempty matrix")
-        da, db = L.shape
-        contexts = [(j, _keys(alice[j], game.contexts[j], f"alice[{j}]")) for j in _keys(alice, game.context_names, "alice")]
-        ops = _stacked([(f"alice[{j}][{v}]", alice[j][v]) for j, vs in contexts for v in vs], (da, da))
-        bob = _stacked([(f"bob[{v}]", bob[v]) for v in _keys(bob, game.vertices, "bob")], (db, db))
-        return cls._from_arrays(_stacked([("L", L)], (da, db))[0], ops.reshape(5, 4, da, da), bob)
-
-    @classmethod
-    def _from_arrays(cls, L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> ReflectionStrategy:
-        """A strategy that takes over complex stacks in its own layout, unchecked, and marks them read-only."""
-        r = object.__new__(cls)
-        for m in (L, alice, bob):
-            m.setflags(write=False)
-        r._L, r._alice, r._bob, r._views, r._verdict = L, alice, bob, None, None
-        return r
-
-    def __reduce__(self):
-        # the read-only views do not pickle; rebuild from the stacks
-        return type(self)._from_arrays, (self._L, self._alice, self._bob)
+        return cls._parsed(_stacked([("L", L)], L.shape)[0], alice, bob, ())
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stacks as one-row batches, the layout of the stacked kernels."""
@@ -130,21 +167,25 @@ class ReflectionStrategy:
             raise StrategyValidationError(self._verdict)
         return self._verdict
 
-    def _mappings(self) -> tuple[Mapping[str, Mapping[int, np.ndarray]], Mapping[int, np.ndarray]]:
-        """The read-only alice {j: {v: R[j][v]}} and bob {v: S[v]} views, built on first use."""
-        if self._views is None:
-            game = STANDARD_GAME
-            alice = {j: MappingProxyType(dict(zip(game.contexts[j], ops))) for j, ops in zip(game.context_names, self._alice)}
-            self._views = MappingProxyType(alice), MappingProxyType(dict(zip(game.vertices, self._bob)))
-        return self._views
 
-    # read-only: a property without a setter refuses assignment
-    L = property(lambda self: self._L)
-    alice = property(lambda self: self._mappings()[0])
-    bob = property(lambda self: self._mappings()[1])
-    game = property(lambda self: STANDARD_GAME)
-    dim_a = property(lambda self: self._L.shape[0])
-    dim_b = property(lambda self: self._L.shape[1])
+class ProjectiveStrategy(_StackedStrategy):
+    """Shared unit vector psi plus projective measurements, held as three read-only stacks.
+
+    L (dim_a, dim_b) is psi as a matrix; Alice's (5, 8, da, da) stack holds each context's projectors in _OUTCOMES
+    order and Bob's (10, 2, db, db) each vertex's pair (N0, N1) for outcomes +1 and -1.  The constructor copies psi,
+    alice {j: {t: M}} (t a parity-valid bit tuple over the sorted vertices of j, bit b meaning sign (-1)**b) and bob
+    {v: (N0, N1)} into them, naming the field whose keys, shape or entries are wrong; p.psi, p.alice[j][t] and
+    p.bob[v], a (2, db, db) pair, are read-only views of them.  The projective axioms wait for to_reflection's check.
+    """
+
+    _ALICE_KEYS = [list(map(tuple, ts)) for ts in _OUTCOMES.tolist()]
+
+    def __new__(cls, psi, dim_a, dim_b, alice, bob):
+        if not all(isinstance(d, (int, np.integer)) and d > 0 for d in (dim_a, dim_b)):
+            raise InvalidStrategyError(f"dim_a, dim_b: {dim_a!r}, {dim_b!r}, expected positive integers")
+        return cls._parsed(_stacked([("psi", psi)], (dim_a * dim_b,))[0].reshape(dim_a, dim_b), alice, bob, (2,))
+
+    psi = property(lambda self: self._L.reshape(-1))
 
 
 def _keys(m, keys, name: str):
@@ -155,8 +196,8 @@ def _keys(m, keys, name: str):
     return keys
 
 
-def _stacked(named: list[tuple[str, object]], shape: tuple[int, int]) -> np.ndarray:
-    """The named matrices as one complex copy, (n, *shape), naming the first that is not a finite matrix of `shape`."""
+def _stacked(named: list[tuple[str, object]], shape: tuple[int, ...]) -> np.ndarray:
+    """The named arrays as one complex copy, (n, *shape), naming the first that is not a finite array of `shape`."""
     mats = [np.asarray(m, dtype=complex) for _, m in named]
     for (name, _), m in zip(named, mats):
         if m.shape != shape:
@@ -166,26 +207,6 @@ def _stacked(named: list[tuple[str, object]], shape: tuple[int, int]) -> np.ndar
     if not finite.all():
         raise InvalidStrategyError(f"{named[int(np.argmin(finite))][0]}: non-finite entries")
     return out
-
-
-@dataclass
-class ProjectiveStrategy:
-    """Shared vector psi plus projective measurements (treated as immutable).
-
-    alice[j] maps each parity-valid outcome (a bit tuple over the sorted
-    vertices of j, bit b meaning sign (-1)**b) to its projector; bob[v] is
-    the pair (N0, N1) for outcomes +1 and -1.
-    """
-
-    psi: np.ndarray
-    dim_a: int
-    dim_b: int
-    alice: dict[str, dict[tuple[int, ...], np.ndarray]]
-    bob: dict[int, tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def game(self) -> PentagramGame:
-        return STANDARD_GAME
 
 
 @dataclass(frozen=True)
@@ -364,10 +385,6 @@ def _require_valid_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> li
     return reports
 
 
-# Each context's 8 parity-valid outcome bits, (5, 8, 4): contexts in name order, bits over sorted vertices.
-_OUTCOMES = np.array([parity_assignments(STANDARD_GAME, j) for j in STANDARD_GAME.context_names])
-
-
 def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     """Convert a reflection strategy to its projective form.
 
@@ -386,53 +403,29 @@ def to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
     for i in range(factors.shape[2]):
         M = M @ factors[:, :, i]
     pairs = np.stack([np.eye(db) + r._bob, np.eye(db) - r._bob], axis=1) / 2
-    alice = {j: dict(zip(map(tuple, ts), Mj)) for j, ts, Mj in zip(r.game.context_names, _OUTCOMES.tolist(), M)}
-    bob = {v: tuple(pair) for v, pair in zip(r.game.vertices, pairs)}
-    return ProjectiveStrategy(psi=r._L.ravel().copy(), dim_a=da, dim_b=db, alice=alice, bob=bob)
-
-
-def _outcome_lists(p: ProjectiveStrategy) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """p's projectors by outcome: Alice's 8 lists (outcome i of each context, in _OUTCOMES order), Bob's 2 (+1, -1).
-
-    Callers stack one list at a time, (5, da, da) or (10, db, db): stacking a whole side raised the peak memory of
-    loading a d = 32 projective file.  Raises InvalidStrategyError naming the first context whose outcome keys are
-    not its parity-valid ones, or the first vertex that Bob measures without a pair (N0, N1) or that is not a vertex.
-    """
-    names, vertices = STANDARD_GAME.context_names, STANDARD_GAME.vertices
-    for j, ts in zip(names, _OUTCOMES.tolist()):
-        if set(p.alice[j]) != set(map(tuple, ts)):
-            raise InvalidStrategyError(f"context {j}: outcomes must be exactly its 8 parity-valid bit tuples")
-    for v in (*vertices, *(set(p.bob) - set(vertices))):
-        if v not in vertices or v not in p.bob or len(p.bob[v]) != 2:
-            message = "Bob needs one pair (N0, N1) at each of the 10 vertices and no others"
-            raise InvalidStrategyError(f"vertex {v!r}: {message}")
-    alice = [[p.alice[j][tuple(t)] for j, t in zip(names, ts)] for ts in _OUTCOMES.swapaxes(0, 1).tolist()]
-    return alice, [[p.bob[v][b] for v in vertices] for b in (0, 1)]
+    return ProjectiveStrategy._from_arrays(r._L, M, pairs)
 
 
 def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
     """Raise InvalidStrategyError when a projective axiom deviates beyond tol.
 
     The deviation is the worst of Hermiticity, idempotence and completeness
-    of every measurement, checked on stacks of one outcome each, and
-    | ||psi|| - 1 |.  Raises ValueError unless tol is finite and
-    non-negative, or when a matrix has a non-finite entry.
+    of every measurement, checked on p's stacks, and | ||psi|| - 1 |.
+    Raises ValueError unless tol is finite and non-negative.
     """
     _check_tol(tol)
     devs = [[abs(float(np.linalg.norm(p.psi)) - 1.0)]]
     # an overflow shows as an inf or NaN deviation, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for side in _outcome_lists(p):
+        for A in (p._alice, p._bob):
+            sq = A @ A
+            sq -= A
+            devs += [_frobenius_norms(A - _dagger(A)).ravel(), _frobenius_norms(sq).ravel()]
             # summed outcome by outcome onto zero, as a loop over one measurement would
             total = 0
-            for A in (np.array(x, dtype=complex) for x in side):
-                if not np.all(np.isfinite(A)):
-                    raise ValueError("matrix has non-finite entries")
-                sq = A @ A
-                sq -= A
-                devs += [_frobenius_norms(A - _dagger(A)), _frobenius_norms(sq)]
-                total = total + A
-            devs.append(_frobenius_norms(total - np.eye(total.shape[-1])))
+            for i in range(A.shape[1]):
+                total = total + A[:, i]
+            devs.append(_frobenius_norms(total - np.eye(A.shape[-1])))
     # np.max, unlike max(), keeps a NaN deviation, which then fails
     dev = np.max(np.concatenate(devs))
     if not dev <= tol:
@@ -454,15 +447,12 @@ def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
 
 def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
     """to_reflection's conversion, for callers that check the axioms themselves."""
-    alice, bob = _outcome_lists(p)
     R = np.zeros((5, 4, p.dim_a, p.dim_a), dtype=complex)
     # outcome by outcome, each projector added or subtracted whole: negating by a multiply could flip a zero's sign
-    for i, outcome in enumerate(alice):
-        A = np.array(outcome, dtype=complex)[:, None]
+    for i in range(_OUTCOMES.shape[1]):
+        A = p._alice[:, i, None]
         R += np.where(_OUTCOMES[:, i, :, None, None] == 0, A, -A)
-    N0, N1 = (np.array(x, dtype=complex) for x in bob)
-    L = np.asarray(p.psi, dtype=complex).reshape(p.dim_a, p.dim_b).copy()
-    return ReflectionStrategy._from_arrays(L, R, N0 - N1)
+    return ReflectionStrategy._from_arrays(p._L, R, p._bob[:, 0] - p._bob[:, 1])
 
 
 def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
@@ -561,16 +551,17 @@ def strategy_from_json(obj: dict):
         return ReflectionStrategy._from_arrays(L, np.array(alice), np.array(bob))
     if "psi" in obj and "M" in obj:
         da, db = _dims(obj)
-        psi = _decode(obj["psi"], "psi", (da * db, 1)).ravel()
+        psi = _decode(obj["psi"], "psi", (da * db, 1))
         M = _section(obj["M"], "M", game.context_names)
         N = _section(obj.get("N"), "N", game.vertices)
-        alice, bob = {}, {}
+        alice = []
         for j, ts in zip(game.context_names, _OUTCOMES.tolist()):
-            names = {"".join(map(str, t)): tuple(t) for t in ts}
-            ctx = _section(M[j], f"M.{j}", names)
-            alice[j] = {t: _decode(ctx[key], f"M.{j}.{key}", (da, da)) for key, t in names.items()}
+            keys = ["".join(map(str, t)) for t in ts]
+            ctx = _section(M[j], f"M.{j}", keys)
+            alice.append([_decode(ctx[key], f"M.{j}.{key}", (da, da)) for key in keys])
+        bob = []
         for v in game.vertices:
             pair = _section(N[str(v)], f"N.{v}", "01")
-            bob[v] = tuple(_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01")
-        return ProjectiveStrategy(psi=psi, dim_a=da, dim_b=db, alice=alice, bob=bob)
+            bob.append([_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01"])
+        return ProjectiveStrategy._from_arrays(psi.reshape(da, db), np.array(alice), np.array(bob))
     raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")

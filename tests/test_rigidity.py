@@ -1,6 +1,6 @@
 import json
 import re
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -29,7 +29,7 @@ from pentagram.rigidity import (
 )
 from pentagram.strategies import ReflectionStrategy, StrategyValidationError, ideal_strategy, losing_terms, score
 from rebuild import replaced
-from test_loop_references import ref_select_distinguished
+from test_loop_references import junk_register_strategy, ref_select_distinguished
 
 
 @pytest.fixture()
@@ -448,8 +448,9 @@ def test_every_residual_requires_a_valid_strategy(ideal, measure, breaks):
         measure(breaks(ideal))
 
 
-def test_certify_builds_each_isometry_once(monkeypatch):
-    # the side of a build is told by its first simulated Pauli, X'_1 or X'_4
+@pytest.fixture()
+def isometry_builds(monkeypatch):
+    """The side of each isometry build, told by its first simulated Pauli, X'_1 or X'_4, as the builds run."""
     r = perturb_ideal(PerturbationSpec(1e-2, 3))
     dist = ref_select_distinguished(r)
     sides = []
@@ -462,8 +463,32 @@ def test_certify_builds_each_isometry_once(monkeypatch):
         return original(primes)
 
     monkeypatch.setattr(rigidity, "_isometries", counting)
+    return r, sides
+
+
+def test_certify_builds_each_isometry_once(isometry_builds):
+    r, sides = isometry_builds
     certify(r)
     assert sorted(sides) == ["alice", "bob"]
     sides.clear()
     word_residual(r, ["Z4", "X5"])
     assert sides == ["bob"]
+
+
+def test_single_field_measures_build_only_their_isometries(isometry_builds):
+    r, sides = isometry_builds
+    consistency_residuals(r)
+    assert sides == []
+    extract_state(r)
+    assert sorted(sides) == ["alice", "bob"]
+
+
+@pytest.mark.parametrize(
+    "build", [partial(perturb_ideal, PerturbationSpec(1e-2, 3)), junk_register_strategy], ids=["d8", "d32"]
+)
+def test_single_field_measures_match_certify(build):
+    r = build()
+    report, ext = certify(r), extract_state(r)
+    assert (ext.bell_weights, ext.state_residual) == (report.bell_weights, report.state_residual)
+    assert np.array_equal(ext.junk, report.junk)
+    assert consistency_residuals(r) == report.consistency_residuals

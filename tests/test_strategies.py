@@ -249,8 +249,8 @@ class TestConversions:
     def test_invalid_projective_strategy_rejected(self, ideal):
         p = to_projective(ideal)
         first = next(iter(p.alice["C"]))
-        p.alice["C"][first] = 0.5 * p.alice["C"][first]
-        with pytest.raises(ValueError):
+        p = replaced(p, alice={"C": {first: 0.5 * p.alice["C"][first]}})
+        with pytest.raises(InvalidStrategyError, match="^invalid projective strategy"):
             to_reflection(p)
 
 
@@ -361,96 +361,147 @@ class TestValidationGate:
             calibrate_delta(1e-3, seed=3)
 
 
-def _parts(r):
-    """r's L, alice and bob as fresh, writable dicts of copies."""
-    alice = {j: {v: m.copy() for v, m in ctx.items()} for j, ctx in r.alice.items()}
-    return r.L.copy(), alice, {v: m.copy() for v, m in r.bob.items()}
+def _parts(s):
+    """s's constructor arguments, its alice and bob as fresh, writable dicts of copies."""
+    if isinstance(s, ProjectiveStrategy):
+        state = {"psi": s.psi.copy(), "dim_a": s.dim_a, "dim_b": s.dim_b}
+    else:
+        state = {"L": s.L.copy()}
+    alice = {j: {k: m.copy() for k, m in ctx.items()} for j, ctx in s.alice.items()}
+    return {**state, "alice": alice, "bob": {v: m.copy() for v, m in s.bob.items()}}
 
 
-# Each edit breaks the structure of _parts' dicts in place and returns the L to build with.
-def _drop_vertex(L, alice, bob):
-    del bob[7]
-    return L
+# Each edit breaks the structure of _parts' arguments in place.
+def _drop_vertex(args):
+    del args["bob"][7]
 
 
-def _extra_context(L, alice, bob):
-    alice["H"] = dict(alice["C"])
-    return L
+def _extra_context(args):
+    args["alice"]["H"] = dict(args["alice"]["C"])
 
 
-def _extra_vertex(L, alice, bob):
-    alice["G"][5] = alice["G"][4]
-    return L
+def _extra_vertex(args):
+    args["alice"]["G"][5] = args["alice"]["G"][4]
 
 
-def _small_operator(L, alice, bob):
-    alice["E"][6] = np.eye(4)
-    return L
+def _small_operator(args):
+    args["alice"]["E"][6] = np.eye(4)
 
 
-def _vector_state(L, alice, bob):
-    return L.ravel()
+def _vector_state(args):
+    args["L"] = args["L"].ravel()
 
 
-def _nan_entry(L, alice, bob):
-    bob[9][2, 3] = np.nan
-    return L
+def _nan_entry(args):
+    args["bob"][9][2, 3] = np.nan
 
 
-def _inf_state(L, alice, bob):
-    L[0, 0] = np.inf
-    return L
+def _inf_state(args):
+    args["L"][0, 0] = np.inf
+
+
+def _short_psi(args):
+    args["psi"] = np.ones(3) / np.sqrt(3)
+
+
+def _wrong_dim(args):
+    args["dim_a"] = 4
+
+
+def _float_dim(args):
+    args["dim_b"] = 8.0
+
+
+def _small_projector(args):
+    args["alice"]["C"][(0, 0, 1, 1)] = np.eye(4)
+
+
+def _nan_projector(args):
+    args["alice"]["E"][(0, 0, 0, 0)][1, 2] = np.nan
 
 
 class TestConstructor:
-    """The constructor parses keys, shapes and entries; the axioms wait for the gate."""
+    """The constructors parse keys, shapes and entries; the axioms wait for the gate or the projective check."""
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "form, edit, message",
         [
-            (_drop_vertex, r"bob: missing keys \[7\], unexpected keys \[\]"),
-            (_extra_context, r"alice: missing keys \[\], unexpected keys \['H'\]"),
-            (_extra_vertex, r"alice\[G\]: missing keys \[\], unexpected keys \[5\]"),
-            (_small_operator, r"alice\[E\]\[6\]: shape \(4, 4\), expected \(8, 8\)"),
-            (_vector_state, r"L: shape \(64,\), expected a nonempty matrix"),
-            (_nan_entry, r"bob\[9\]: non-finite entries"),
-            (_inf_state, r"L: non-finite entries"),
+            (ReflectionStrategy, _drop_vertex, r"bob: missing keys \[7\], unexpected keys \[\]"),
+            (ReflectionStrategy, _extra_context, r"alice: missing keys \[\], unexpected keys \['H'\]"),
+            (ReflectionStrategy, _extra_vertex, r"alice\[G\]: missing keys \[\], unexpected keys \[5\]"),
+            (ReflectionStrategy, _small_operator, r"alice\[E\]\[6\]: shape \(4, 4\), expected \(8, 8\)"),
+            (ReflectionStrategy, _vector_state, r"L: shape \(64,\), expected a nonempty matrix"),
+            (ReflectionStrategy, _nan_entry, r"bob\[9\]: non-finite entries"),
+            (ReflectionStrategy, _inf_state, r"L: non-finite entries"),
+            (ProjectiveStrategy, _short_psi, r"psi: shape \(3,\), expected \(64,\)"),
+            (ProjectiveStrategy, _wrong_dim, r"psi: shape \(64,\), expected \(32,\)"),
+            (ProjectiveStrategy, _float_dim, r"dim_a, dim_b: 8, 8.0, expected positive integers"),
+            (ProjectiveStrategy, _small_projector, r"alice\[C\]\[\(0, 0, 1, 1\)\]: shape \(4, 4\), expected \(8, 8\)"),
+            (ProjectiveStrategy, _nan_projector, r"alice\[E\]\[\(0, 0, 0, 0\)\]: non-finite entries"),
         ],
-        ids=["missing-vertex", "extra-context", "extra-vertex", "wrong-shape", "vector-state", "nan", "inf"],
+        ids=[
+            "missing-vertex",
+            "extra-context",
+            "extra-vertex",
+            "wrong-shape",
+            "vector-state",
+            "nan",
+            "inf",
+            "psi-length",
+            "dim",
+            "float-dim",
+            "projector-shape",
+            "projective-nan",
+        ],
     )
-    def test_structure_named(self, ideal, edit, message):
-        L, alice, bob = _parts(ideal)
-        L = edit(L, alice, bob)
-        with pytest.raises(InvalidStrategyError, match=message):
-            ReflectionStrategy(L=L, alice=alice, bob=bob)
+    def test_structure_named(self, ideal, form, edit, message):
+        args = _parts(ideal if form is ReflectionStrategy else to_projective(ideal))
+        edit(args)
+        with pytest.raises(InvalidStrategyError, match=f"^{message}$"):
+            form(**args)
 
     def test_views_are_read_only(self, ideal):
+        p, t = to_projective(ideal), (0, 0, 1, 1)
         with pytest.raises(AttributeError):
             ideal.L = 2 * ideal.L
-        with pytest.raises(AttributeError):
-            ideal.alice = {}
+        for s, name in ((ideal, "alice"), (p, "psi"), (p, "alice"), (p, "bob"), (p, "dim_a")):
+            with pytest.raises(AttributeError):
+                setattr(s, name, {})
         with pytest.raises(TypeError):
             ideal.alice["C"][2] = np.eye(8)
         with pytest.raises(TypeError):
             ideal.alice["C"] = {}
         with pytest.raises(TypeError):
             ideal.bob[3] = np.eye(8)
-        for m in (ideal.L, ideal.alice["C"][2], ideal.bob[3]):
+        with pytest.raises(TypeError):
+            p.alice["C"][t] = np.eye(8)
+        with pytest.raises(TypeError):
+            p.bob[3] = p.bob[4]
+        for m in (ideal.L, ideal.alice["C"][2], ideal.bob[3], p.psi, p.alice["C"][t], p.bob[3], p.bob[3][1]):
             with pytest.raises(ValueError, match="read-only"):
-                m[0, 0] = 1.0
+                m[0] = 1.0
 
     def test_inputs_are_copied(self, ideal):
-        L, alice, bob = _parts(ideal)
-        r, other = ReflectionStrategy(L=L, alice=alice, bob=bob), ReflectionStrategy(L=L, alice=alice, bob=bob)
+        args = _parts(ideal)
+        r, other = ReflectionStrategy(**args), ReflectionStrategy(**args)
         assert score(r) == 1.0
-        L[0, 0] = 0.0
-        alice["C"][2][0, 0] = 5.0
-        bob[3] *= 0.5
+        args["L"][0, 0] = 0.0
+        args["alice"]["C"][2][0, 0] = 5.0
+        args["bob"][3] *= 0.5
         # neither the strategy gated before the writes nor the one gated after sees them
         assert score(r) == score(other) == 1.0
         assert validate(r, 1e-10).passed
         assert np.array_equal(r.L, ideal.L) and np.array_equal(r.bob[3], ideal.bob[3])
         assert np.array_equal(r.alice["C"][2], ideal.alice["C"][2])
+        ideal_p = to_projective(ideal)
+        args = _parts(ideal_p)
+        p = ProjectiveStrategy(**args)
+        args["psi"][0] = 0.0
+        args["alice"]["C"][(0, 0, 1, 1)][0, 0] = 5.0
+        args["bob"][3] *= 0.5
+        assert score(to_reflection(p)) == 1.0
+        assert np.array_equal(p.psi, ideal_p.psi) and np.array_equal(p.bob[3], ideal_p.bob[3])
+        assert np.array_equal(p.alice["C"][(0, 0, 1, 1)], ideal_p.alice["C"][(0, 0, 1, 1)])
 
     def test_copy_and_pickle_round_trip(self):
         r = perturb_ideal(PerturbationSpec(0.01, 5))
@@ -461,6 +512,14 @@ class TestConstructor:
             assert all(np.array_equal(other.alice[j][v], m) for j, ctx in r.alice.items() for v, m in ctx.items())
             with pytest.raises(ValueError, match="read-only"):
                 other.alice["C"][2][0, 0] = 1.0
+        p = to_projective(r)
+        for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(other) is ProjectiveStrategy and other is not p
+            assert np.array_equal(other.psi, p.psi) and all(np.array_equal(other.bob[v], m) for v, m in p.bob.items())
+            assert all(np.array_equal(other.alice[j][t], m) for j, ctx in p.alice.items() for t, m in ctx.items())
+            assert score(to_reflection(other)) == score(to_reflection(p))
+            with pytest.raises(ValueError, match="read-only"):
+                other.alice["C"][(0, 0, 1, 1)][0, 0] = 1.0
 
 
 class TestGateOnce:
