@@ -45,10 +45,9 @@ from .strategies import (
     classical_embedding,
     ideal_strategy,
     losing_terms,
-    projective_to_json,
-    reflection_to_json,
     score,
     strategy_from_json,
+    strategy_to_json,
     to_projective,
     to_reflection,
     validate,

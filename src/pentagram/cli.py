@@ -18,15 +18,11 @@ from .optimize import MODES, PerturbationSpec, perturb_ideal, rows_to_csv, scali
 from .rigidity import certify, report_to_json
 from .strategies import (
     InvalidStrategyError,
-    ProjectiveStrategy,
-    _check_projective,
-    _reflection_form,
     ideal_strategy,
     losing_terms,
-    projective_to_json,
-    reflection_to_json,
     score,
     strategy_from_json,
+    strategy_to_json,
     to_projective,
     to_reflection,
     validate,
@@ -45,24 +41,30 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # a syntax error, undecodable bytes or a repeated key
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a repeated key, whose last value json would silently keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
 
 
 def _load(path: str):
     """The strategy in a file of either format, in reflection form."""
-    # decoded here, so that the document (9 MB at d = 32) is freed before a projective strategy converts: a caller
-    # holds its arguments alive through the call
-    s = strategy_from_json(_read_json(path))
-    return to_reflection(s) if isinstance(s, ProjectiveStrategy) else s
+    # the document (9 MB at d = 32) is freed when strategy_from_json returns, before a projective strategy converts
+    return to_reflection(strategy_from_json(_read_json(path)))
 
 
 def _write_strategy(r, path: str, fmt: str) -> None:
-    obj = projective_to_json(to_projective(r)) if fmt == "projective" else reflection_to_json(r)
-    dump_json(obj, path)
+    dump_json(strategy_to_json(to_projective(r) if fmt == "projective" else r), path)
 
 
 def _cmd_value(args) -> int:
@@ -90,12 +92,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    r = strategy_from_json(_read_json(args.infile))
-    if isinstance(r, ProjectiveStrategy):
-        # the projective axioms are held to --tol too, not to STRUCTURE_TOL
-        _check_projective(r, args.tol)
-        r = _reflection_form(r)
-    report = validate(r, args.tol)
+    report = validate(strategy_from_json(_read_json(args.infile)), args.tol)
     for name, dev in report.deviations().items():
         print(f"{name} {dev:.12e}")
     print("PASS" if report.passed else "FAIL")
@@ -123,14 +120,20 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_scaling_study(args) -> int:
-    deltas = [float(d) for d in args.deltas.split(",") if d]
-    rows, fit = scaling_study(deltas, args.samples, args.seed, mode=args.mode)
+    rows, fit = scaling_study(args.deltas, args.samples, args.seed, mode=args.mode)
     with open(args.out, "w") as fh:
         fh.write(rows_to_csv(rows))
     dump_json(fit, args.summary)
     slope = "n/a" if fit["slope"] is None else f"{fit['slope']:.6f}"
     print(f"slope {slope}  max_ratio_state {fit['max_ratio_state']:.3f}  n_rows {fit['n_rows']}")
     return 0
+
+
+def _deltas(text: str) -> list[float]:
+    try:
+        return [float(d) for d in text.split(",") if d]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("scaling-study", help="sweep delta, certify samples, fit the epsilon scaling")
-    p.add_argument("--deltas", required=True, help="comma-separated ascending positive deltas")
+    p.add_argument("--deltas", type=_deltas, required=True, help="comma-separated ascending positive deltas")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV of per-sample rows")

@@ -92,7 +92,8 @@ _OUTCOMES = np.array([parity_assignments(STANDARD_GAME, j) for j in STANDARD_GAM
 class _StackedStrategy:
     """A strategy held as three read-only stacks: L (da, db), Alice's (5, n, da, da) and Bob's (10, ..., db, db).
 
-    A subclass names its Alice view's keys in _ALICE_KEYS: each context's n keys, contexts in name order.
+    A subclass names its Alice view's keys in _ALICE_KEYS: each context's n keys, contexts in name order.  _FILE
+    names its file's state, Alice and Bob sections, each context's Alice keys there and Bob's outcome keys, if any.
     """
 
     _views = None
@@ -147,10 +148,11 @@ class ReflectionStrategy(_StackedStrategy):
     """
 
     _ALICE_KEYS = [STANDARD_GAME.contexts[j] for j in STANDARD_GAME.context_names]
+    _FILE = "L", "R", "S", [[str(v) for v in vs] for vs in _ALICE_KEYS], ""
     _verdict = None
 
     def __new__(cls, L, alice, bob):
-        L = np.asarray(L, dtype=complex)
+        L = _complex("L", L)
         if L.ndim != 2 or not L.size:
             raise InvalidStrategyError(f"L: shape {L.shape}, expected a nonempty matrix")
         return cls._parsed(_stacked([("L", L)], L.shape)[0], alice, bob, ())
@@ -175,10 +177,11 @@ class ProjectiveStrategy(_StackedStrategy):
     order and Bob's (10, 2, db, db) each vertex's pair (N0, N1) for outcomes +1 and -1.  The constructor copies psi,
     alice {j: {t: M}} (t a parity-valid bit tuple over the sorted vertices of j, bit b meaning sign (-1)**b) and bob
     {v: (N0, N1)} into them, naming the field whose keys, shape or entries are wrong; p.psi, p.alice[j][t] and
-    p.bob[v], a (2, db, db) pair, are read-only views of them.  The projective axioms wait for to_reflection's check.
+    p.bob[v], a (2, db, db) pair, are read-only views of them.  Its axioms wait for to_reflection or validate.
     """
 
     _ALICE_KEYS = [list(map(tuple, ts)) for ts in _OUTCOMES.tolist()]
+    _FILE = "psi", "M", "N", [["".join(map(str, t)) for t in ts] for ts in _ALICE_KEYS], "01"
 
     def __new__(cls, psi, dim_a, dim_b, alice, bob):
         if not all(isinstance(d, (int, np.integer)) and d > 0 for d in (dim_a, dim_b)):
@@ -190,6 +193,8 @@ class ProjectiveStrategy(_StackedStrategy):
 
 def _keys(m, keys, name: str):
     """keys, once the mapping m has exactly them; InvalidStrategyError names m otherwise."""
+    if not isinstance(m, Mapping):
+        raise InvalidStrategyError(f"{name}: {type(m).__name__}, expected a mapping")
     if set(m) != set(keys):
         missing, extra = sorted(set(keys) - set(m)), sorted(set(m) - set(keys), key=repr)
         raise InvalidStrategyError(f"{name}: missing keys {missing}, unexpected keys {extra}")
@@ -198,7 +203,7 @@ def _keys(m, keys, name: str):
 
 def _stacked(named: list[tuple[str, object]], shape: tuple[int, ...]) -> np.ndarray:
     """The named arrays as one complex copy, (n, *shape), naming the first that is not a finite array of `shape`."""
-    mats = [np.asarray(m, dtype=complex) for _, m in named]
+    mats = [_complex(name, m) for name, m in named]
     for (name, _), m in zip(named, mats):
         if m.shape != shape:
             raise InvalidStrategyError(f"{name}: shape {m.shape}, expected {shape}")
@@ -207,6 +212,14 @@ def _stacked(named: list[tuple[str, object]], shape: tuple[int, ...]) -> np.ndar
     if not finite.all():
         raise InvalidStrategyError(f"{named[int(np.argmin(finite))][0]}: non-finite entries")
     return out
+
+
+def _complex(name: str, m) -> np.ndarray:
+    """m as a complex array; InvalidStrategyError names it when numpy cannot make one of it."""
+    try:
+        return np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidStrategyError(f"{name}: not an array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -321,11 +334,6 @@ def score(r: ReflectionStrategy) -> float:
 _PAIRS_A, _PAIRS_B = np.triu_indices(4, k=1)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-
-
 def _reflection_deviations(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermiticity || A - A^dagger || and involution || A A - I || of each matrix of a (..., d, d) stack."""
     # a matrix is a reflection at STRUCTURE_TOL when both are at most it; an overflow shows as inf or NaN, which fails
@@ -335,15 +343,21 @@ def _reflection_deviations(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _frobenius_norms(A - _dagger(A)), _frobenius_norms(sq)
 
 
-def validate(r: ReflectionStrategy, tol: float) -> ValidationReport:
+def validate(s: ReflectionStrategy | ProjectiveStrategy, tol: float) -> ValidationReport:
     """Measure the worst deviation from each reflection-strategy axiom.
 
     Each axiom is checked on stacks: Bob's 10 operators, Alice's (5, 4)
     context array and its 30 in-context pairs.  A non-finite deviation
-    fails.  Raises ValueError unless tol is finite and non-negative.
+    fails.  A projective strategy's own axioms are held to tol first,
+    raising InvalidStrategyError, and then its reflection form is measured.
+    Raises ValueError unless tol is finite and non-negative.
     """
-    _check_tol(tol)
-    return _validate_rows(*r._rows(), tol)[0]
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if isinstance(s, ProjectiveStrategy):
+        _check_projective(s, tol)
+        s = _reflection_form(s)
+    return _validate_rows(*s._rows(), tol)[0]
 
 
 def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:
@@ -411,9 +425,7 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
 
     The deviation is the worst of Hermiticity, idempotence and completeness
     of every measurement, checked on p's stacks, and | ||psi|| - 1 |.
-    Raises ValueError unless tol is finite and non-negative.
     """
-    _check_tol(tol)
     devs = [[abs(float(np.linalg.norm(p.psi)) - 1.0)]]
     # an overflow shows as an inf or NaN deviation, which fails
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,8 +444,8 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
         raise InvalidStrategyError(f"invalid projective strategy (max deviation {dev:.3e})")
 
 
-def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
-    """Convert a projective strategy to its reflection form.
+def to_reflection(s: ReflectionStrategy | ProjectiveStrategy) -> ReflectionStrategy:
+    """Convert a projective strategy to its reflection form; a reflection strategy is returned as it is.
 
     R[j][v] sums the projectors of outcomes assigning +1 to v minus those
     assigning -1; S[v] = N0 - N1; L is psi reshaped into a dim_a x dim_b
@@ -441,8 +453,10 @@ def to_reflection(p: ProjectiveStrategy) -> ReflectionStrategy:
     InvalidStrategyError unless the measurements and psi are valid to
     STRUCTURE_TOL.
     """
-    _check_projective(p)
-    return _reflection_form(p)
+    if isinstance(s, ReflectionStrategy):
+        return s
+    _check_projective(s)
+    return _reflection_form(s)
 
 
 def _reflection_form(p: ProjectiveStrategy) -> ReflectionStrategy:
@@ -467,38 +481,25 @@ def classical_embedding(strategy: ClassicalStrategy) -> ReflectionStrategy:
     return ReflectionStrategy._from_arrays(np.eye(1, dtype=complex), alice[..., None, None], bob[..., None, None])
 
 
-def reflection_to_json(r: ReflectionStrategy) -> dict:
+def strategy_to_json(s: ReflectionStrategy | ProjectiveStrategy) -> dict:
+    """The file of either form, from its stacks: dim_a, dim_b and L/R/S or psi/M/N, as strategy_from_json reads it."""
+    (state, a, b, names, outcomes), game = s._FILE, STANDARD_GAME
+    # psi is a column, and a projective strategy's Bob entry is the pair {"0": N0, "1": N1}
+    bob = [dict(zip(outcomes, map(matrix_to_json, m))) if outcomes else matrix_to_json(m) for m in s._bob]
     return {
-        "dim_a": r.dim_a,
-        "dim_b": r.dim_b,
-        "L": matrix_to_json(r.L),
-        "R": {
-            j: {str(v): matrix_to_json(r.alice[j][v]) for v in r.game.contexts[j]}
-            for j in r.game.context_names
-        },
-        "S": {str(v): matrix_to_json(r.bob[v]) for v in r.game.vertices},
+        "dim_a": s.dim_a,
+        "dim_b": s.dim_b,
+        state: matrix_to_json(s._L if state == "L" else s._L.reshape(-1, 1)),
+        a: {j: dict(zip(keys, map(matrix_to_json, ops))) for j, keys, ops in zip(game.context_names, names, s._alice)},
+        b: dict(zip(map(str, game.vertices), bob)),
     }
 
 
-def projective_to_json(p: ProjectiveStrategy) -> dict:
-    psi_col = np.asarray(p.psi, dtype=complex).reshape(-1, 1)
-    return {
-        "dim_a": p.dim_a,
-        "dim_b": p.dim_b,
-        "psi": matrix_to_json(psi_col),
-        "M": {
-            j: {"".join(map(str, t)): matrix_to_json(p.alice[j][tuple(t)]) for t in ts}
-            for j, ts in zip(p.game.context_names, _OUTCOMES.tolist())
-        },
-        "N": {
-            str(v): {"0": matrix_to_json(p.bob[v][0]), "1": matrix_to_json(p.bob[v][1])}
-            for v in p.game.vertices
-        },
-    }
-
-
-def _decode(obj, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """matrix_from_json, checked against `shape`, with `name` in its errors."""
+def _decode(obj, name: str, shape: tuple[int, int], keys=()):
+    """matrix_from_json, checked against `shape`, with `name` in its errors; given keys, a section's matrices."""
+    if keys:
+        sec = _section(obj, name, keys)
+        return [_decode(sec[k], f"{name}.{k}", shape) for k in keys]
     try:
         m = matrix_from_json(obj)
     except ValueError as exc:
@@ -519,49 +520,27 @@ def _section(sec, name: str, keys) -> dict:
     return sec
 
 
-def _dims(obj) -> tuple[int, int]:
-    for name in ("dim_a", "dim_b"):
-        d = obj.get(name)
-        if type(d) is not int or d <= 0:
-            raise ValueError(f"{name} must be a positive integer, got {d!r}")
-    return obj["dim_a"], obj["dim_b"]
-
-
-def strategy_from_json(obj: dict):
+def strategy_from_json(obj: dict) -> ReflectionStrategy | ProjectiveStrategy:
     """Decode either strategy format, detected by its keys.
 
     Key sets must match STANDARD_GAME's contexts, vertices and outcomes
     exactly, and every matrix shape must match dim_a/dim_b; a violation
-    raises a ValueError naming the field.
+    raises a ValueError naming the field.  The two formats differ only in
+    the state (L, or psi as a column) and in Bob's outcome level N.v.0/1.
     """
-    game = STANDARD_GAME
     if not isinstance(obj, dict):
         raise ValueError(f"a strategy must be an object, got {type(obj).__name__}")
-    if "L" in obj and "R" in obj:
-        da, db = _dims(obj)
-        L = _decode(obj["L"], "L", (da, db))
-        R = _section(obj["R"], "R", game.context_names)
-        S = _section(obj.get("S"), "S", game.vertices)
-        alice = []
-        for j in game.context_names:
-            ctx = _section(R[j], f"R.{j}", game.contexts[j])
-            alice.append([_decode(ctx[str(v)], f"R.{j}.{v}", (da, da)) for v in game.contexts[j]])
-        bob = [_decode(S[str(v)], f"S.{v}", (db, db)) for v in game.vertices]
-        # every matrix is checked here, so the stacks go to the strategy unchecked
-        return ReflectionStrategy._from_arrays(L, np.array(alice), np.array(bob))
-    if "psi" in obj and "M" in obj:
-        da, db = _dims(obj)
-        psi = _decode(obj["psi"], "psi", (da * db, 1))
-        M = _section(obj["M"], "M", game.context_names)
-        N = _section(obj.get("N"), "N", game.vertices)
-        alice = []
-        for j, ts in zip(game.context_names, _OUTCOMES.tolist()):
-            keys = ["".join(map(str, t)) for t in ts]
-            ctx = _section(M[j], f"M.{j}", keys)
-            alice.append([_decode(ctx[key], f"M.{j}.{key}", (da, da)) for key in keys])
-        bob = []
-        for v in game.vertices:
-            pair = _section(N[str(v)], f"N.{v}", "01")
-            bob.append([_decode(pair[b], f"N.{v}.{b}", (db, db)) for b in "01"])
-        return ProjectiveStrategy._from_arrays(psi.reshape(da, db), np.array(alice), np.array(bob))
-    raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")
+    form = next((f for f in (ReflectionStrategy, ProjectiveStrategy) if f._FILE[0] in obj and f._FILE[1] in obj), None)
+    if form is None:
+        raise ValueError("unrecognized strategy format (expected L/R/S or psi/M/N keys)")
+    (state, a, b, names, outcomes), game = form._FILE, STANDARD_GAME
+    for dim in ("dim_a", "dim_b"):
+        if type(obj.get(dim)) is not int or obj[dim] <= 0:
+            raise ValueError(f"{dim} must be a positive integer, got {obj.get(dim)!r}")
+    da, db = obj["dim_a"], obj["dim_b"]
+    L = _decode(obj[state], state, (da, db) if form is ReflectionStrategy else (da * db, 1)).reshape(da, db)
+    A, B = _section(obj[a], a, game.context_names), _section(obj.get(b), b, game.vertices)
+    alice = [_decode(A[j], f"{a}.{j}", (da, da), keys) for j, keys in zip(game.context_names, names)]
+    bob = [_decode(B[str(v)], f"{b}.{v}", (db, db), outcomes) for v in game.vertices]
+    # every matrix is checked here, so the stacks go to the strategy unchecked
+    return form._from_arrays(L, np.array(alice), np.array(bob))

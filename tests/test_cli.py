@@ -8,7 +8,7 @@ import pytest
 from pentagram.cli import main
 from pentagram.linalg import matrix_to_json
 from pentagram.optimize import MODES
-from pentagram.strategies import ideal_strategy, projective_to_json, reflection_to_json, to_projective
+from pentagram.strategies import ideal_strategy, strategy_to_json, to_projective
 from test_loop_references import junk_register_strategy
 
 
@@ -202,7 +202,7 @@ class TestExitCodes:
 
     def test_non_finite_deviation_fails(self, capsys, tmp_path):
         # S[1] is symmetric and finite, but S[1] @ S[1] overflows to NaN
-        obj = reflection_to_json(ideal_strategy())
+        obj = strategy_to_json(ideal_strategy())
         g = np.random.default_rng(0).standard_normal((8, 8))
         obj["S"]["1"] = matrix_to_json((g + g.T) * 1e200)
         broken = tmp_path / "broken.json"
@@ -253,7 +253,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", [[True, 0], [10**400, 0]], ids=["boolean", "oversized-integer"])
     def test_non_float_matrix_entry(self, capsys, tmp_path, entry):
         # a JSON boolean is not a number, and a 401-digit integer has no float
-        obj = reflection_to_json(ideal_strategy())
+        obj = strategy_to_json(ideal_strategy())
         obj["L"]["data"][3] = entry
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -265,7 +265,7 @@ class TestExitCodes:
         assert not (tmp_path / "report.json").exists()
 
     def test_certify_refuses_what_score_refuses(self, capsys, tmp_path):
-        obj = reflection_to_json(ideal_strategy())
+        obj = strategy_to_json(ideal_strategy())
         factor = 1 + 5e-9
         obj["L"]["data"] = [[factor * re, factor * im] for re, im in obj["L"]["data"]]
         broken = tmp_path / "broken.json"
@@ -278,7 +278,7 @@ class TestExitCodes:
             assert "state_norm" in err
 
     def test_invalid_projective_file_exit_two(self, capsys, tmp_path):
-        obj = projective_to_json(to_projective(ideal_strategy()))
+        obj = strategy_to_json(to_projective(ideal_strategy()))
         factor = 1 + 5e-9
         obj["psi"]["data"] = [[factor * re, factor * im] for re, im in obj["psi"]["data"]]
         broken = tmp_path / "broken.json"
@@ -290,7 +290,7 @@ class TestExitCodes:
             assert err.startswith("validation failure: invalid projective strategy (max deviation 5.0")
 
     def test_validate_tol_applies_to_projective_files(self, capsys, tmp_path):
-        obj = projective_to_json(to_projective(ideal_strategy()))
+        obj = strategy_to_json(to_projective(ideal_strategy()))
         factor = 1 + 5e-9
         obj["psi"]["data"] = [[factor * re, factor * im] for re, im in obj["psi"]["data"]]
         loose = tmp_path / "loose.json"
@@ -312,10 +312,17 @@ class TestExitCodes:
             (["scaling-study", "--deltas", "0.01", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["perturb", "--delta", "0.01", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["scaling-study", "--deltas", "0.01,2", "--samples", "30", "--seed", "1"], "deltas must lie in (0, 1], got 2.0"),
+            (
+                ["scaling-study", "--deltas", "0.01,abc", "--samples", "2", "--seed", "1"],
+                "argument --deltas: expected comma-separated numbers, got '0.01,abc'",
+            ),
             (["validate", "--tol", "nan"], "tol must be finite and non-negative, got nan"),
             (["validate", "--tol", "-1"], "tol must be finite and non-negative, got -1.0"),
         ],
-        ids=["study-samples", "study-seed", "perturb-seed", "study-delta-above-one", "validate-tol-nan", "validate-tol-negative"],
+        ids=[
+            "study-samples", "study-seed", "perturb-seed", "study-delta-above-one", "study-deltas-not-numbers",
+            "validate-tol-nan", "validate-tol-negative",
+        ],
     )
     def test_negative_counts_and_seeds(self, capsys, tmp_path, argv, message):
         outputs = [tmp_path / "out.csv", tmp_path / "fit.json"]
@@ -367,7 +374,7 @@ class TestStrictLoader:
         ],
     )
     def test_reflection_defects(self, capsys, tmp_path, mutate, message):
-        obj = reflection_to_json(ideal_strategy())
+        obj = strategy_to_json(ideal_strategy())
         mutate(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -385,12 +392,23 @@ class TestStrictLoader:
         ids=["missing-outcome", "wrong-parity-outcome", "false-dim_b"],
     )
     def test_projective_defects(self, capsys, tmp_path, mutate, message):
-        obj = projective_to_json(to_projective(ideal_strategy()))
+        obj = strategy_to_json(to_projective(ideal_strategy()))
         mutate(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         code, out, err = run(capsys, "score", "--in", str(bad))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_duplicate_key(self, capsys, tmp_path):
+        # two different S.1 matrices, which a dict can only hold as text: json would keep the last one
+        S1 = json.dumps(matrix_to_json(-np.eye(8)))
+        text = json.dumps(strategy_to_json(ideal_strategy()))
+        assert text.count('"S": {') == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"S": {', f'"S": {{"1": {S1}, ', 1))
+        for argv in (["certify", "--out", str(tmp_path / "report.json")], ["score"], ["validate"]):
+            code, out, err = run(capsys, *argv, "--in", str(bad))
+            assert (code, out, err) == (1, "", f"error: {bad}: duplicate key '1'\n")
 
 
 class TestGoldenStudy:
@@ -434,7 +452,7 @@ class TestGoldenCertificate:
         src, report = tmp_path / "strategy.json", tmp_path / "report.json"
         if strategy == "junk":
             r = junk_register_strategy()
-            obj = projective_to_json(to_projective(r)) if fmt == "projective" else reflection_to_json(r)
+            obj = strategy_to_json(to_projective(r) if fmt == "projective" else r)
             src.write_text(json.dumps(obj))
             golden = f"certificate-junk-{fmt}.json"
         else:

@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pentagram.cli import main
-from pentagram.strategies import ideal_strategy, projective_to_json, reflection_to_json, to_projective
+from pentagram.strategies import ideal_strategy, strategy_to_json, to_projective
 
 IDEAL = {
-    "reflection": reflection_to_json(ideal_strategy()),
-    "projective": projective_to_json(to_projective(ideal_strategy())),
+    "reflection": strategy_to_json(ideal_strategy()),
+    "projective": strategy_to_json(to_projective(ideal_strategy())),
 }
 JUNK = [None, True, 0, -3, 2.5, "8", [], [[1.0, 0.0]], {}, {"rows": 1}]
 # matrix entries that are not a [re, im] pair of numbers with a float value

@@ -62,7 +62,6 @@ from pentagram.strategies import (
     ValidationReport,
     _check_projective,
     _by_question,
-    _check_tol,
     _reflection_form,
     _require_valid_rows,
     classical_embedding,
@@ -639,7 +638,8 @@ def ref_to_projective(r: ReflectionStrategy) -> ProjectiveStrategy:
 
 
 def ref_check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None:
-    _check_tol(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     devs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for j in p.game.context_names:

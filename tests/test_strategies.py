@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 from rebuild import replaced
+from test_loop_references import junk_register_strategy
 
 from pentagram import strategies
 from pentagram.game import STANDARD_GAME, PentagramGame, best_classical_strategy, parity_assignments
@@ -21,10 +22,9 @@ from pentagram.strategies import (
     classical_embedding,
     ideal_strategy,
     losing_terms,
-    projective_to_json,
-    reflection_to_json,
     score,
     strategy_from_json,
+    strategy_to_json,
     to_projective,
     to_reflection,
     validate,
@@ -254,6 +254,32 @@ class TestConversions:
             to_reflection(p)
 
 
+class TestEitherForm:
+    """validate and to_reflection take either form; a projective strategy is measured through its reflection form."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.5, 1.0])
+    def test_projective_validates_as_its_reflection_form(self, tol):
+        for r in (ideal_strategy(), perturb_ideal(PerturbationSpec(0.02, 9)), random_strategy(3)):
+            p = to_projective(r)
+            report, expected = validate(p, tol), validate(to_reflection(p), tol)
+            assert report == expected and report.worst == expected.worst
+
+    def test_projective_axioms_held_to_tol(self, ideal):
+        p = to_projective(ideal)
+        first = next(iter(p.alice["C"]))
+        halved = replaced(p, alice={"C": {first: 0.5 * p.alice["C"][first]}})
+        with pytest.raises(InvalidStrategyError, match=r"^invalid projective strategy \(max deviation 5.000e-01\)$"):
+            validate(halved, 1e-10)
+        report = validate(halved, 1.0)
+        assert report.passed and report.involution == pytest.approx(0.75, abs=1e-12)
+        with pytest.raises(ValueError, match="^tol must be finite and non-negative, got nan$"):
+            validate(p, float("nan"))
+
+    def test_reflection_strategy_is_its_own_reflection_form(self, ideal):
+        r = perturb_ideal(PerturbationSpec(0.02, 9))
+        assert to_reflection(r) is r and to_reflection(ideal) is ideal
+
+
 class TestValidationReport:
     def test_halved_reflection_deviation(self, ideal):
         report = validate(replaced(ideal, bob={3: 0.5 * ideal.bob[3]}), 1e-10)
@@ -271,25 +297,29 @@ class TestValidationReport:
         assert report.state_norm == pytest.approx(1.0, abs=1e-12)
 
 
+def round_trip(s):
+    """s through strategy_to_json, JSON text and strategy_from_json, its stacks checked byte for byte."""
+    s2 = strategy_from_json(json.loads(json.dumps(strategy_to_json(s))))
+    assert type(s2) is type(s)
+    for a, b in zip((s._L, s._alice, s._bob), (s2._L, s2._alice, s2._bob)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return s2
+
+
 class TestSerialization:
     def test_reflection_round_trip(self):
-        r = perturb_ideal(PerturbationSpec(0.02, 9))
-        obj = json.loads(json.dumps(reflection_to_json(r)))
-        r2 = strategy_from_json(obj)
-        np.testing.assert_array_equal(r2.L, r.L)
-        for j in r.game.context_names:
-            for v in r.game.contexts[j]:
-                np.testing.assert_array_equal(r2.alice[j][v], r.alice[j][v])
-        for v in r.game.vertices:
-            np.testing.assert_array_equal(r2.bob[v], r.bob[v])
+        # d = 8 and the d = 32 junk-register strategy
+        for r in (perturb_ideal(PerturbationSpec(0.02, 9)), junk_register_strategy()):
+            r2 = round_trip(r)
+            assert all(np.array_equal(r2.alice[j][v], m) for j, ctx in r.alice.items() for v, m in ctx.items())
 
     def test_projective_round_trip(self, ideal):
         p = to_projective(ideal)
-        obj = json.loads(json.dumps(projective_to_json(p)))
-        p2 = strategy_from_json(obj)
-        np.testing.assert_array_equal(p2.psi, p.psi)
+        p2 = round_trip(p)
         assert p2.alice["C"].keys() == p.alice["C"].keys()
         assert abs(score_projective(p2) - 1.0) <= 1e-12
+        for r in (perturb_ideal(PerturbationSpec(0.02, 9)), junk_register_strategy()):
+            round_trip(to_projective(r))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -308,7 +338,7 @@ class TestStandardGame:
 
     def test_game_is_not_settable(self, ideal):
         witness, _ = best_classical_strategy(STANDARD_GAME)
-        obj = reflection_to_json(ideal)
+        obj = strategy_to_json(ideal)
         with pytest.raises(TypeError):
             ReflectionStrategy(L=ideal.L, alice=ideal.alice, bob=ideal.bob, game=STANDARD_GAME)
         with pytest.raises(TypeError):
@@ -323,8 +353,8 @@ class TestStandardGame:
             ideal,
             p,
             to_reflection(p),
-            to_reflection(strategy_from_json(json.loads(json.dumps(projective_to_json(p))))),
-            strategy_from_json(json.loads(json.dumps(reflection_to_json(ideal)))),
+            to_reflection(strategy_from_json(json.loads(json.dumps(strategy_to_json(p))))),
+            strategy_from_json(json.loads(json.dumps(strategy_to_json(ideal)))),
             perturb_ideal(PerturbationSpec(0.02, 9)),
             classical_embedding(witness),
         ]
@@ -400,6 +430,22 @@ def _inf_state(args):
     args["L"][0, 0] = np.inf
 
 
+def _string_operator(args):
+    args["bob"][3] = "abc"
+
+
+def _string_state(args):
+    args["L"] = "abc"
+
+
+def _scalar_alice(args):
+    args["alice"] = 5
+
+
+def _list_context(args):
+    args["alice"]["D"] = list(args["alice"]["D"].values())
+
+
 def _short_psi(args):
     args["psi"] = np.ones(3) / np.sqrt(3)
 
@@ -420,6 +466,10 @@ def _nan_projector(args):
     args["alice"]["E"][(0, 0, 0, 0)][1, 2] = np.nan
 
 
+def _ragged_pair(args):
+    args["bob"][7] = (args["bob"][7][0], np.eye(4))
+
+
 class TestConstructor:
     """The constructors parse keys, shapes and entries; the axioms wait for the gate or the projective check."""
 
@@ -433,11 +483,16 @@ class TestConstructor:
             (ReflectionStrategy, _vector_state, r"L: shape \(64,\), expected a nonempty matrix"),
             (ReflectionStrategy, _nan_entry, r"bob\[9\]: non-finite entries"),
             (ReflectionStrategy, _inf_state, r"L: non-finite entries"),
+            (ReflectionStrategy, _string_operator, r"bob\[3\]: not an array of numbers"),
+            (ReflectionStrategy, _string_state, r"L: not an array of numbers"),
+            (ReflectionStrategy, _scalar_alice, r"alice: int, expected a mapping"),
+            (ReflectionStrategy, _list_context, r"alice\[D\]: list, expected a mapping"),
             (ProjectiveStrategy, _short_psi, r"psi: shape \(3,\), expected \(64,\)"),
             (ProjectiveStrategy, _wrong_dim, r"psi: shape \(64,\), expected \(32,\)"),
             (ProjectiveStrategy, _float_dim, r"dim_a, dim_b: 8, 8.0, expected positive integers"),
             (ProjectiveStrategy, _small_projector, r"alice\[C\]\[\(0, 0, 1, 1\)\]: shape \(4, 4\), expected \(8, 8\)"),
             (ProjectiveStrategy, _nan_projector, r"alice\[E\]\[\(0, 0, 0, 0\)\]: non-finite entries"),
+            (ProjectiveStrategy, _ragged_pair, r"bob\[7\]: not an array of numbers"),
         ],
         ids=[
             "missing-vertex",
@@ -447,11 +502,16 @@ class TestConstructor:
             "vector-state",
             "nan",
             "inf",
+            "string-entry",
+            "string-state",
+            "scalar-alice",
+            "list-context",
             "psi-length",
             "dim",
             "float-dim",
             "projector-shape",
             "projective-nan",
+            "ragged-pair",
         ],
     )
     def test_structure_named(self, ideal, form, edit, message):
