@@ -68,18 +68,12 @@ def _write_strategy(r, path: str, fmt: str) -> None:
 
 
 def _cmd_value(args) -> int:
-    if not args.classical and not args.quantum:
-        args.classical = args.quantum = True
-        prefix = True
-    else:
-        prefix = args.classical and args.quantum
-    if args.classical:
+    both = args.classical == args.quantum  # neither flag or both: both values, each with its prefix
+    if both or args.classical:
         value = classical_value(STANDARD_GAME)
-        lead = "classical: " if prefix else ""
-        print(f"{lead}{value} = {float(value)}")
-    if args.quantum:
-        lead = "quantum: " if prefix else ""
-        print(f"{lead}{score(ideal_strategy()):.12f}")
+        print(f"{'classical: ' if both else ''}{value} = {float(value)}")
+    if both or args.quantum:
+        print(f"{'quantum: ' if both else ''}{score(ideal_strategy()):.12f}")
     return 0
 
 

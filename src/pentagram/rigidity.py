@@ -27,12 +27,14 @@ core: a sweep passes many rows and certify one, while extract_state builds
 both isometries, word_residual only its side's and consistency_residuals
 none.  No row depends on its batch.  certify's certify-only families
 (context changes, pair commutators and anticommutators, a fixed sample of
-change words) read the same stacks, through index tables built at import.
+change words) read the same stacks, the pairs through index tables built at
+import and the words through one product on L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -196,9 +198,6 @@ DISTINGUISHED_CONTEXT = {
 X_PRIME_VERTEX = {1: 6, 2: 5, 3: 7, 4: 6, 5: 5, 6: 7}
 Z_PRIME_VERTEX = {1: 10, 2: 9, 3: 8, 4: 10, 5: 9, 6: 8}
 
-# Indices of the simulated Pauli pairs each side's isometry extracts.
-_REGISTERS = {"alice": (1, 2, 3), "bob": (4, 5, 6)}
-
 # The twelve operator residuals' keys, register by register, X before Z, and in that order each
 # simulated Pauli's index: Alice's into her question stack, Bob's into his vertex stack.
 _OP_KEYS = tuple(f"{which}{i}" for i in range(1, 7) for which in "XZ")
@@ -214,7 +213,7 @@ def _primes(alice: np.ndarray, bob: np.ndarray) -> dict:
     return {"alice": _by_question(alice, bob)[0][:, _PRIME_INDEX[:6]], "bob": bob[:, _PRIME_INDEX[6:]]}
 
 
-def _images(L: np.ndarray, primes: dict, sides=tuple(_REGISTERS)) -> dict:
+def _images(L: np.ndarray, primes: dict, sides=("alice", "bob")) -> dict:
     """Each side's stacked (V_A, V_A L) or (V_B^dagger, L V_B^dagger), its isometries built once."""
     v = {side: _isometries(primes[side]) for side in sides}
     v = {side: m if side == "alice" else _dagger(m) for side, m in v.items()}
@@ -268,12 +267,6 @@ def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -
     return _frobenius_norms(out)
 
 
-def _operator_residuals(L: np.ndarray, primes: dict, images: dict) -> np.ndarray:
-    """(B, 12) operator residuals in _OP_KEYS order."""
-    words = [(side, [(w, i)]) for side, regs in _REGISTERS.items() for i in regs for w in "XZ"]
-    return np.stack([_word_residual(side, L, primes, images, word) for side, word in words], axis=1)
-
-
 def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
     if not word:
         raise ValueError("word must be nonempty")
@@ -284,6 +277,10 @@ def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
     if len(sides) > 1:
         raise ValueError("word mixes Alice and Bob operators")
     return sides.pop(), [(label[0], int(label[1])) for label in word]
+
+
+# The twelve operator residuals' one-operator words, parsed, in _OP_KEYS order.
+_OP_WORDS = [_parse_word([key]) for key in _OP_KEYS]
 
 
 def word_residual(r: ReflectionStrategy, word) -> float:
@@ -358,12 +355,6 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     return _extract_states(_images(L, _primes(alice, bob)))[0]
 
 
-def _context_changes(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """(10,) context-change residuals of one row's L (da, db) and question stack R (20, da, da), in vertex order."""
-    x = R[_VERTEX_QUESTIONS] @ L
-    return _frobenius_norms(x[:, 0] - x[:, 1])
-
-
 def _pair_tables() -> tuple[dict, dict]:
     """Each side's commutator and anticommutator (key, i, j) tables, in vertex-pair order.
 
@@ -406,36 +397,31 @@ def _pair_residuals(L: np.ndarray, R: np.ndarray, S: np.ndarray):
     return comm, anti
 
 
-# certify's fixed change-word sample: the word lengths, the words drawn per length and the seed of the draw.
-_CHANGE_WORD_LENGTHS = (2, 3, 4, 5, 6)
-_CHANGE_WORD_SAMPLES = 20
-_CHANGE_WORD_SEED = 0
+@cache
+def _change_words() -> tuple[tuple[int, tuple], ...]:
+    """certify's fixed change-word sample (all words are too many): per length n, (n, 20 (left, right) words).
 
-
-def _sampled_change_words(L: np.ndarray, R: np.ndarray) -> dict[int, float]:
-    """Worst sampled residual of multi-step context swaps, per word length.
-
-    For each length n, _CHANGE_WORD_SAMPLES vertex words are drawn uniformly with an
-    independent uniform context choice per side and per position; exhausting
-    all words is combinatorially infeasible, so the certificate reports the
-    sampled maximum of || prod R[j_i][v_i] L - prod R[j'_i][v_i] L ||, on one
-    row's stacks.  A sample draws its n vertices, then (n, 2) bits: row k holds
-    the left and right choice at position n-1-k, bit 1 picking the first context.
+    A word lists its question indices in the order _on_L applies them.  A sample draws n vertices uniformly, then
+    (n, 2) bits: row k holds the left and right context choice of the k-th factor applied, on the vertex drawn at
+    n-1-k, bit 1 picking its first context.  Drawn once, on first use.
     """
-    rng = np.random.default_rng(_CHANGE_WORD_SEED)
-    out: dict[int, float] = {}
-    for n in _CHANGE_WORD_LENGTHS:
-        worst = 0.0
-        for _ in range(_CHANGE_WORD_SAMPLES):
-            vs = rng.choice(len(_VERTEX_QUESTIONS), size=n)
-            bits = rng.integers(2, size=(n, 2))
-            lhs = rhs = L
-            for left, right in _VERTEX_QUESTIONS[vs[::-1, None], 1 - bits]:
-                lhs = R[left] @ lhs
-                rhs = R[right] @ rhs
-            worst = max(worst, frobenius_norm(lhs - rhs))
-        out[int(n)] = worst
-    return out
+    rng = np.random.default_rng(0)
+
+    def word_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        vs, bits = rng.choice(len(_VERTEX_QUESTIONS), size=n), rng.integers(2, size=(n, 2))
+        return tuple(map(tuple, _VERTEX_QUESTIONS[vs[::-1, None], 1 - bits].T.tolist()))
+
+    return tuple((n, tuple(word_pair(n) for _ in range(20))) for n in (2, 3, 4, 5, 6))
+
+
+def _on_L(L: np.ndarray, R: np.ndarray, word) -> np.ndarray:
+    """R[q_n] @ (... @ (R[q_1] @ L)) for a word (q_1, ..., q_n) of indices into the question stack R (20, da, da)."""
+    return reduce(lambda x, q: R[q] @ x, word, L)
+
+
+def _gaps(L: np.ndarray, R: np.ndarray, words) -> list[float]:
+    """|| left L - right L || per (left, right) pair of question words; a context change is a vertex's two questions."""
+    return [frobenius_norm(_on_L(L, R, left) - _on_L(L, R, right)) for left, right in words]
 
 
 def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
@@ -447,7 +433,7 @@ def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     primes = _primes(alice, bob)
     images = _images(L, primes)
     epsilon = [sum(terms) / 20.0 for terms in _losing_terms(L, alice, bob)]
-    ops = _operator_residuals(L, primes, images)
+    ops = np.stack([_word_residual(side, L, primes, images, word) for side, word in _OP_WORDS], axis=1)
     return epsilon, _consistency(L, alice, bob), ops, _extract_states(images)
 
 
@@ -476,10 +462,10 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
         junk=extraction.junk,
         op_residuals=dict(zip(_OP_KEYS, map(float, ops[0]))),
         consistency_residuals=consistency,
-        context_change_residuals=dict(zip(r.game.vertices, map(float, _context_changes(L, R)))),
+        context_change_residuals=dict(zip(r.game.vertices, _gaps(L, R, _VERTEX_QUESTIONS[:, :, None]))),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals=_sampled_change_words(L, R),
+        change_word_residuals={n: max(0.0, *_gaps(L, R, words)) for n, words in _change_words()},
         consistency_bound_ok=all(res <= bound for res in consistency.values()),
         validation=report,
     )

@@ -34,6 +34,11 @@ class TestValue:
         assert code == 0
         assert out.splitlines() == ["classical: 19/20 = 0.95", "quantum: 1.000000000000"]
 
+    def test_both_flags(self, capsys):
+        code, out, _ = run(capsys, "value", "--classical", "--quantum")
+        assert code == 0
+        assert out.splitlines() == ["classical: 19/20 = 0.95", "quantum: 1.000000000000"]
+
 
 class TestRoundTrip:
     def test_export_score_certify(self, capsys, tmp_path):

@@ -45,12 +45,11 @@ from pentagram.rigidity import (
     StateExtraction,
     _ancilla_pauli,
     _bell_expand,
-    _context_changes,
+    _change_words,
     _core,
     _matmul,
     _pair_residuals,
     _parse_word,
-    _sampled_change_words,
     certify,
     consistency_residuals,
     word_residual,
@@ -283,6 +282,25 @@ def ref_sampled_change_words(
     return out
 
 
+def ref_change_words(lengths, samples: int, seed: int) -> tuple:
+    """ref_sampled_change_words's draws as (left, right) words of indices into game.questions(), first factor first."""
+    rng = np.random.default_rng(seed)
+    verts, questions = STANDARD_GAME.vertices, STANDARD_GAME.questions()
+    out = []
+    for n in lengths:
+        words = []
+        for _ in range(samples):
+            vs = rng.choice(verts, size=n)
+            left, right = [], []
+            for v in reversed(vs):
+                j1, j2 = STANDARD_GAME.contexts_of(int(v))
+                left.append(questions.index((j1 if rng.integers(2) else j2, int(v))))
+                right.append(questions.index((j1 if rng.integers(2) else j2, int(v))))
+            words.append((tuple(left), tuple(right)))
+        out.append((int(n), tuple(words)))
+    return tuple(out)
+
+
 # The per-row certificate core: a tensordot isometry circuit, one word at a
 # time, and an einsum extraction whose contraction order is searched per call.
 
@@ -427,11 +445,10 @@ def assert_kernels_match(r: ReflectionStrategy):
         assert validate(r, tol) == ref_validate(r, tol)
     assert consistency_residuals(r) == ref_consistency_residuals(r)
     assert_same_strategy(bob_best_response(r), ref_bob_best_response(r))
-    L, R, S = row_stacks(r)
-    changes = dict(zip(r.game.vertices, map(float, _context_changes(L, R))))
-    assert ordered(changes) == ordered(ref_context_change_residuals(r))
-    assert list(map(ordered, _pair_residuals(L, R, S))) == list(map(ordered, ref_pair_residuals(r)))
-    assert ordered(_sampled_change_words(L, R)) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
+    assert list(map(ordered, _pair_residuals(*row_stacks(r)))) == list(map(ordered, ref_pair_residuals(r)))
+    report = certify(r)
+    assert ordered(report.context_change_residuals) == ordered(ref_context_change_residuals(r))
+    assert ordered(report.change_word_residuals) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -601,11 +618,14 @@ def test_bell_expand_matches_einsum(da, db):
     assert np.array_equal(_bell_expand(P), ref_bell_expand(P))
 
 
+def test_change_words_match_draw_order():
+    assert _change_words() == ref_change_words(*CHANGE_WORDS)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_change_words_match_loops(seed):
     r = perturb_ideal(PerturbationSpec(0.05, seed))
-    L, R, _ = row_stacks(r)
-    assert ordered(_sampled_change_words(L, R)) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
+    assert ordered(certify(r).change_word_residuals) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
 
 
 # The per-matrix projective conversions and check; the reference conversion

@@ -303,7 +303,7 @@ class TestScalingStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep row computed a family the CSV does not report")
 
-        for name in ("_pair_residuals", "_sampled_change_words", "_context_changes"):
+        for name in ("_pair_residuals", "_on_L", "_change_words"):
             monkeypatch.setattr(rigidity, name, refuse)
         with pytest.raises(AssertionError):
             certify(ideal_strategy())

@@ -234,6 +234,14 @@ class TestCertify:
         assert len(report.commutator_residuals["bob"]) == 30
         assert sorted(report.change_word_residuals) == [2, 3, 4, 5, 6]
 
+    def test_change_words_drawn_once(self, ideal, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify drew its change-word sample again")
+
+        first = certify(ideal)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert certify(ideal_strategy()).change_word_residuals == first.change_word_residuals
+
     def test_invalid_strategy_rejected(self, ideal):
         with pytest.raises(StrategyValidationError):
             certify(replaced(ideal, bob={1: 0.5 * ideal.bob[1]}))
