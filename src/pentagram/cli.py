@@ -15,7 +15,7 @@ import numpy as np
 from .game import STANDARD_GAME, classical_value
 from .linalg import STRUCTURE_TOL, dump_json
 from .optimize import MODES, PerturbationSpec, perturb_ideal, rows_to_csv, scaling_study
-from .rigidity import certify, report_to_json
+from .rigidity import PHI_TRIPLE, certify, report_to_json
 from .strategies import (
     InvalidStrategyError,
     ideal_strategy,
@@ -98,7 +98,7 @@ def _cmd_certify(args) -> int:
     dump_json(report_to_json(report), args.out)
     print(f"epsilon {report.epsilon:.12e}")
     print(f"state_residual {report.state_residual:.12e}")
-    print(f"bell_weight_phi+++ {report.bell_weights[('phi+', 'phi+', 'phi+')]:.12f}")
+    print(f"bell_weight_phi+++ {report.bell_weights[PHI_TRIPLE]:.12f}")
     return 0
 
 

@@ -28,7 +28,7 @@ depends only on its own indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -326,16 +326,10 @@ def fit_summary(rows) -> dict:
     }
 
 
-CSV_HEADER = "delta,seed,epsilon,state_residual,max_op_residual,max_consistency_residual,ratio_state,ratio_op"
+CSV_HEADER = ",".join(f.name for f in fields(ScalingRow))
 
 
 def rows_to_csv(rows) -> str:
-    """Render rows with exact shortest-round-trip float formatting."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.delta!r},{row.seed},{row.epsilon!r},{row.state_residual!r},"
-            f"{row.max_op_residual!r},{row.max_consistency_residual!r},"
-            f"{row.ratio_state!r},{row.ratio_op!r}"
-        )
+    """Render rows, one column per ScalingRow field in order, each value as its repr: exact round-trip floats."""
+    lines = [CSV_HEADER] + [",".join(repr(getattr(row, f.name)) for f in fields(row)) for row in rows]
     return "\n".join(lines) + "\n"

@@ -19,16 +19,17 @@ Q2, Q3) and Bob's (original space, Q4, Q5, Q6); ancilla Qi pairs with ancilla
 Q(i+3) in the Bell decomposition.
 
 Every residual is measured only on a strategy that passes the one gate,
-which a strategy runs on itself once; anything else raises
-StrategyValidationError.  build_isometry's bare operators pass the gate's own
-reflection test.  Measures read a strategy's read-only stacks directly, and
-stacked (B, ...) strategies that passed the gate go through one certificate
-core: a sweep passes many rows and certify one, while extract_state builds
-both isometries, word_residual only its side's and consistency_residuals
-none.  No row depends on its batch.  certify's certify-only families
-(context changes, pair commutators and anticommutators, a fixed sample of
-change words) read the same stacks, the pairs through index tables built at
-import and the words through one product on L.
+which runs once, when a measure first reads the strategy's rows; anything
+else raises StrategyValidationError.  build_isometry's bare operators pass
+the gate's own deviation kernel.  Measures read a strategy's read-only
+stacks, and stacked (B, ...) strategies that passed the gate go through one
+certificate core: a sweep passes many rows and certify one, while
+extract_state builds both isometries, word_residual only its side's and
+consistency_residuals none.  No row depends on its batch.  certify's
+certify-only families (context changes, pair commutators and
+anticommutators, a fixed sample of change words) read the same stacks, the
+pairs through index tables built at import and the words through one
+product on L.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .strategies import (
     ValidationReport,
     _by_question,
     _losing_terms,
-    _reflection_deviations,
+    _deviations,
 )
 
 PHI_TRIPLE = ("phi+", "phi+", "phi+")
@@ -102,8 +103,8 @@ class RigidityReport:
 
 
 # OpenBLAS 0.3.31 with 2 threads runs a complex gemm of 64x32x32 = 65,536 multiply-adds on its second thread, which
-# then spins at full CPU for about 100 ms; a 32x32x32 gemm stays on the calling thread.  _matmul and _bell_expand
-# split their products into BLAS calls of at most this many multiply-adds.
+# then spins at full CPU for about 100 ms; a 32x32x32 gemm stays on the calling thread.  _matmul splits every
+# product into BLAS calls of at most this many multiply-adds.
 _ONE_THREAD_WORK = 32**3
 
 
@@ -113,14 +114,16 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A product above _ONE_THREAD_WORK runs as one batched matmul over r x w tiles, each written in place in the
     result.  Starting from the whole product, the larger of r and w halves while a tile exceeds the limit, r only
     while the half stays even and w only while it stays a multiple of 4: zgemm kernels take a row-major product's
-    rows in pairs and its columns in groups of up to 4, and round a part group differently.  At d = 32 every tile is
-    32 x 32 x 32; where m or n cannot be halved so, a tile may exceed the limit.
+    rows in pairs and its columns in groups of up to 4, and round a part group differently.  At d = 32 the
+    isometries' and images' tiles are 32 x 32 x 32 and the Bell expansion's 4 x 4 x 2048 and 2048 x 4 x 4; where m or
+    n cannot be halved so, a tile may exceed the limit.
 
     Checked at the call sites' shapes for every d up to 48 and for unequal da and db up to 40: the tiles equal a @ b
     on one thread bit for bit on OpenBLAS 0.3.31's SkylakeX, Sandybridge, Nehalem and Prescott kernels, and on
     SkylakeX at two threads too (on the others, a product that two threads share, whole or a tile above the limit,
     can round differently from one thread's).  They do not on its Haswell kernel, which Zen also uses: it takes rows
-    in groups of 6, so there the last bits move.
+    in groups of 6, so there the last bits move, except in the Bell expansion's _BELL @ (4, 16 da db) and
+    (16 da db, 4) @ _BELL.T, whose real operand still gives equal tiles.
     """
     (m, k), n = a.shape[-2:], b.shape[-1]
     if m * n * k <= _ONE_THREAD_WORK:
@@ -176,7 +179,7 @@ def build_isometry(x_ops: list[np.ndarray], z_ops: list[np.ndarray]) -> np.ndarr
     if any(m.shape != (d, d) for m in ops):
         raise ValueError(f"reflections must be square and share one dimension, got {[m.shape for m in ops]}")
     primes = np.array(ops)
-    dev = np.max(_reflection_deviations(primes))  # np.max, unlike max(), keeps a NaN, which then fails
+    dev = np.max(_deviations(primes, np.eye(d)))  # np.max, unlike max(), keeps a NaN, which then fails
     if not dev <= STRUCTURE_TOL:
         raise ValueError(f"input is not a reflection (deviation {dev:.3e})")
     return _isometries(primes[None])[0]
@@ -228,7 +231,6 @@ def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]
     squared residual and no term exceeds 20 times the losing probability.
     Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    r._gate()
     return dict(zip(r.game.questions(), map(float, _consistency(*r._rows())[0])))
 
 
@@ -293,7 +295,6 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     side, parsed = _parse_word(word)
-    r._gate()
     L, alice, bob = r._rows()
     primes = _primes(alice, bob)
     return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
@@ -306,21 +307,17 @@ _BELL = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj().reshape(4, 4)
 def _bell_expand(P: np.ndarray) -> np.ndarray:
     """(4, 4, 4, da, db) coefficients of P (8da, 8db) over the Bell basis on each ancilla pair (Qi, Q(i+3)).
 
-    Three products, _BELL @ P(il, rest), then T(rest, jm) @ _BELL.T, then T(rest, kn) @ _BELL.T: the order and operand
-    order of np.einsum's optimal path, so the result equals its einsum bit for bit.  Each runs as one batched matmul
-    over c slabs of Alice's original-space axis, c the smallest divisor of da that keeps a slab's product within
-    _ONE_THREAD_WORK.
+    Three products through _matmul, _BELL @ P(il, rest), then T(rest, jm) @ _BELL.T, then T(rest, kn) @ _BELL.T: the
+    order and operand order of np.einsum's optimal path, so the result equals its einsum bit for bit.
     """
     da, db = P.shape[0] // 8, P.shape[1] // 8
-    c = next((c for c in range(1, da + 1) if da % c == 0 and 256 * (da // c) * db <= _ONE_THREAD_WORK), da)
-    a = da // c
-    # axes (slab, a, i, j, k, b, l, m, n), Alice's ancillas i, j, k and Bob's l, m, n
-    t = _BELL @ P.reshape(c, a, 2, 2, 2, db, 2, 2, 2).transpose(0, 2, 6, 1, 3, 4, 5, 7, 8).reshape(c, 4, -1)
-    # (slab, x, a, j, k, b, m, n) -> (slab, x, a, k, b, n, y)
-    t = t.reshape(c, 4, a, 2, 2, db, 2, 2).transpose(0, 1, 2, 4, 5, 7, 3, 6).reshape(c, -1, 4) @ _BELL.T
-    # (slab, x, a, k, b, n, y) -> (slab, x, y, a, b, z)
-    t = t.reshape(c, 4, a, 2, db, 2, 4).transpose(0, 1, 6, 2, 4, 3, 5).reshape(c, -1, 4) @ _BELL.T
-    return t.reshape(c, 4, 4, a, db, 4).transpose(1, 2, 5, 0, 3, 4).reshape(4, 4, 4, da, db)
+    # axes (a, i, j, k, b, l, m, n), Alice's ancillas i, j, k and Bob's l, m, n
+    t = _matmul(_BELL, P.reshape(da, 2, 2, 2, db, 2, 2, 2).transpose(1, 5, 0, 2, 3, 4, 6, 7).reshape(4, -1))
+    # (x, a, j, k, b, m, n) -> (x, a, k, b, n, y)
+    t = _matmul(t.reshape(4, da, 2, 2, db, 2, 2).transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, 4), _BELL.T)
+    # (x, a, k, b, n, y) -> (x, y, a, b, z)
+    t = _matmul(t.reshape(4, da, 2, db, 2, 4).transpose(0, 5, 1, 3, 2, 4).reshape(-1, 4), _BELL.T)
+    return t.reshape(4, 4, da, db, 4).transpose(0, 1, 4, 2, 3)
 
 
 def _extract_states(images: dict) -> list[StateExtraction]:
@@ -350,7 +347,6 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     state_residual = sqrt(||P||^2 - ||junk||^2).  Raises
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    r._gate()
     L, alice, bob = r._rows()
     return _extract_states(_images(L, _primes(alice, bob)))[0]
 

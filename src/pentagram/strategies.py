@@ -143,8 +143,8 @@ class ReflectionStrategy(_StackedStrategy):
 
     The stacks are laid out as _ideal_arrays' are: L (da, db), Alice's (5, 4, da, da) and Bob's (10, db, db).  The
     constructor copies L, alice {j: {v: R[j][v]}} and bob {v: S[v]} into them, and r.L, r.alice[j][v] and r.bob[v]
-    are read-only views of them.  The axioms wait for the one gate, which runs when a measure first needs it; its
-    verdict is remembered, since nothing can change the stacks.
+    are read-only views of them.  The axioms wait for the one gate, which _rows runs when a measure first reads the
+    stacks; its verdict is remembered, since nothing can change the stacks.
     """
 
     _ALICE_KEYS = [STANDARD_GAME.contexts[j] for j in STANDARD_GAME.context_names]
@@ -158,13 +158,14 @@ class ReflectionStrategy(_StackedStrategy):
         return cls._parsed(_stacked([("L", L)], L.shape)[0], alice, bob, ())
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stacks as one-row batches, the layout of the stacked kernels."""
+        """The stacks as one-row batches, the layout of the stacked kernels, once they pass the gate."""
+        self._gate()
         return self._L[None], self._alice[None], self._bob[None]
 
     def _gate(self) -> ValidationReport:
         """The one gate's report, run on first use and remembered, pass or fail; raises StrategyValidationError."""
         if self._verdict is None:
-            self._verdict = _validate_rows(*self._rows(), STRUCTURE_TOL)[0]
+            self._verdict = _validate_rows(self._L[None], self._alice[None], self._bob[None], STRUCTURE_TOL)[0]
         if not self._verdict.passed:
             raise StrategyValidationError(self._verdict)
         return self._verdict
@@ -315,7 +316,6 @@ def losing_terms(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
     One minus the score equals the mean of this table; all 20 projector products run as one stacked
     pass.  Raises StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    r._gate()
     return dict(zip(r.game.questions(), _losing_terms(*r._rows())[0]))
 
 
@@ -326,7 +326,6 @@ def _scores(L: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> list[float]:
 
 def score(r: ReflectionStrategy) -> float:
     """Winning probability of r, raising StrategyValidationError unless r validates at STRUCTURE_TOL."""
-    r._gate()
     return _scores(*r._rows())[0]
 
 
@@ -334,12 +333,12 @@ def score(r: ReflectionStrategy) -> float:
 _PAIRS_A, _PAIRS_B = np.triu_indices(4, k=1)
 
 
-def _reflection_deviations(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity || A - A^dagger || and involution || A A - I || of each matrix of a (..., d, d) stack."""
-    # a matrix is a reflection at STRUCTURE_TOL when both are at most it; an overflow shows as inf or NaN, which fails
+def _deviations(A: np.ndarray, square) -> tuple[np.ndarray, np.ndarray]:
+    """|| A - A^dagger || and || A A - square || of each matrix: square I for a reflection, A for a projector."""
+    # an overflow shows as inf or NaN, which fails
     with np.errstate(over="ignore", invalid="ignore"):
         sq = A @ A
-        sq -= np.eye(A.shape[-1])
+        sq -= square
         return _frobenius_norms(A - _dagger(A)), _frobenius_norms(sq)
 
 
@@ -357,7 +356,7 @@ def validate(s: ReflectionStrategy | ProjectiveStrategy, tol: float) -> Validati
     if isinstance(s, ProjectiveStrategy):
         _check_projective(s, tol)
         s = _reflection_form(s)
-    return _validate_rows(*s._rows(), tol)[0]
+    return _validate_rows(s._L[None], s._alice[None], s._bob[None], tol)[0]
 
 
 def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:
@@ -368,7 +367,7 @@ def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float
     with np.errstate(over="ignore", invalid="ignore"):
         herm, invol, comm = [], [], []
         for A in (bob, alice):
-            for devs, dev in zip((herm, invol), _reflection_deviations(A)):
+            for devs, dev in zip((herm, invol), _deviations(A, np.eye(A.shape[-1]))):
                 devs.append(dev.reshape(n, -1))
         # in place and pair by pair: smaller temporaries, for d = 32 and long stacks
         for i, j in zip(_PAIRS_A, _PAIRS_B):
@@ -430,9 +429,7 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
     # an overflow shows as an inf or NaN deviation, which fails
     with np.errstate(over="ignore", invalid="ignore"):
         for A in (p._alice, p._bob):
-            sq = A @ A
-            sq -= A
-            devs += [_frobenius_norms(A - _dagger(A)).ravel(), _frobenius_norms(sq).ravel()]
+            devs += [dev.ravel() for dev in _deviations(A, A)]
             # summed outcome by outcome onto zero, as a loop over one measurement would
             total = 0
             for i in range(A.shape[1]):

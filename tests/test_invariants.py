@@ -5,13 +5,21 @@ stays deterministic and fast.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentagram.linalg import frobenius_norm
-from pentagram.optimize import bob_best_response, random_reflection, random_strategy
-from pentagram.rigidity import build_isometry
-from pentagram.strategies import losing_terms, score, to_projective, to_reflection
+from pentagram.linalg import frobenius_norm, matrix_to_json
+from pentagram.optimize import (
+    MODES,
+    PerturbationSpec,
+    bob_best_response,
+    perturb_ideal,
+    random_reflection,
+    random_strategy,
+)
+from pentagram.rigidity import build_isometry, certify, report_to_json
+from pentagram.strategies import ReflectionStrategy, losing_terms, score, to_projective, to_reflection
+from test_loop_references import junk_register_strategy
 
 seeds = st.integers(0, 2**32 - 1)
 budget = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -54,3 +62,32 @@ def test_isometry_gram_is_identity(seed, dim):
     m = build_isometry(x_ops, z_ops)
     assert m.shape == (8 * dim, dim)
     assert frobenius_norm(m.conj().T @ m - np.eye(dim)) <= 1e-12
+
+
+perturbed = st.builds(
+    lambda delta, seed, mode: perturb_ideal(PerturbationSpec(delta, seed, mode)),
+    st.floats(0.0, 1.0),
+    seeds,
+    st.sampled_from(MODES),
+)
+
+
+@budget
+@given(st.one_of(perturbed, st.builds(random_strategy, seeds)))
+@example(junk_register_strategy())
+def test_certify_commutes_with_conjugation(r):
+    """Conjugating L and every operator conjugates the junk state exactly and leaves every other field equal.
+
+    Conjugation commutes with every rounded product and sum, and the Bell basis, Hadamard and |+> are real, so
+    this holds whichever BLAS kernel runs.
+    """
+    conj = ReflectionStrategy(
+        L=r.L.conj(),
+        alice={j: {v: m.conj() for v, m in ctx.items()} for j, ctx in r.alice.items()},
+        bob={v: m.conj() for v, m in r.bob.items()},
+    )
+    report = certify(r)
+    plain, mirrored = report_to_json(report), report_to_json(certify(conj))
+    del plain["junk"]
+    assert mirrored.pop("junk") == matrix_to_json(report.junk.conj())
+    assert mirrored == plain

@@ -37,6 +37,7 @@ from pentagram.optimize import (
     random_strategy,
 )
 from pentagram.rigidity import (
+    _BELL,
     _OP_KEYS,
     DISTINGUISHED_CONTEXT,
     PHI_TRIPLE,
@@ -610,6 +611,11 @@ def test_tiled_matmul_matches_matmul(da, db, batch):
         # Bob's isometry V_B^dagger, a conjugate-transposed view
         b = random_complex(rng, batch, n, k).conj().swapaxes(-1, -2)
         assert np.array_equal(_matmul(a, b), a @ b), (m, k, n)
+    # the Bell expansion's two, _BELL @ (4, 16 da db) and (16 da db, 4) @ _BELL.T, with its own (4, 4) operand
+    bell = np.array([_BELL] * batch)
+    x, y = random_complex(rng, batch, 4, 16 * da * db), random_complex(rng, batch, 16 * da * db, 4)
+    assert np.array_equal(_matmul(bell, x), bell @ x)
+    assert np.array_equal(_matmul(y, bell.swapaxes(-1, -2)), y @ bell.swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("da, db", DIM_PAIRS)
