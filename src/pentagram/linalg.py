@@ -33,14 +33,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
 PLUS = np.array([1, 1], dtype=complex) / SQRT2
 
-BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
-
 _BELL = {
     "phi+": np.array([[1, 0], [0, 1]], dtype=complex) / SQRT2,
     "phi-": np.array([[1, 0], [0, -1]], dtype=complex) / SQRT2,
     "psi+": np.array([[0, 1], [1, 0]], dtype=complex) / SQRT2,
     "psi-": np.array([[0, 1], [-1, 0]], dtype=complex) / SQRT2,
 }
+BELL_KINDS = tuple(_BELL)
 
 
 def as_matrix(a) -> np.ndarray:

@@ -254,14 +254,14 @@ def _ancilla_pauli(t: np.ndarray, which: str, axis: int) -> np.ndarray:
 
 
 def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -> np.ndarray:
-    """(B,) residuals of one parsed word on one side's stacked images."""
+    """(B,) residuals of one parsed word, its k indexing X'_1, Z'_1, ..., Z'_3 in primes[side], on one side's images."""
     (v, image), n, (da, db) = images[side], len(L), L.shape[1:]
     # a row of V_A L is (Alice's space, Q1, Q2, Q3), a column of L V_B^dagger (Bob's space, Q4, Q5, Q6)
-    regs, shift = ((da, 2, 2, 2, db), 1) if side == "alice" else ((da, db, 2, 2, 2), -1)
+    regs, first = ((da, 2, 2, 2, db), 2) if side == "alice" else ((da, db, 2, 2, 2), 3)
     lhs, rhs = image.reshape(n, *regs), L
-    for which, idx in reversed(word):
-        lhs = _ancilla_pauli(lhs, which, idx + shift)
-        op = primes[side][:, _OP_KEYS.index(f"{which}{idx}") % 6]
+    for k in reversed(word):
+        lhs = _ancilla_pauli(lhs, "XZ"[k % 2], first + k // 2)
+        op = primes[side][:, k]
         rhs = op @ rhs if side == "alice" else rhs @ op
     out = _matmul(v, rhs) if side == "alice" else _matmul(rhs, v)
     # V (O' L) - P (V L) in place: the residual's negation, with the same norm to the bit
@@ -269,16 +269,18 @@ def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -
     return _frobenius_norms(out)
 
 
-def _parse_word(word) -> tuple[str, list[tuple[str, int]]]:
-    if not word:
-        raise ValueError("word must be nonempty")
+def _parse_word(word) -> tuple[str, list[int]]:
+    """A word's side and each label's index k into that side's six simulated Paulis, the word read once."""
+    indices = []
     for label in word:
         if label not in _OP_KEYS:
             raise ValueError(f"bad operator label {label!r}, expected one of {', '.join(_OP_KEYS)}")
-    sides = {"alice" if _OP_KEYS.index(label) < 6 else "bob" for label in word}
-    if len(sides) > 1:
+        indices.append(_OP_KEYS.index(label))
+    if not indices:
+        raise ValueError("word must be nonempty")
+    if len({k // 6 for k in indices}) > 1:
         raise ValueError("word mixes Alice and Bob operators")
-    return sides.pop(), [(label[0], int(label[1])) for label in word]
+    return ("alice", "bob")[indices[0] // 6], [k % 6 for k in indices]
 
 
 # The twelve operator residuals' one-operator words, parsed, in _OP_KEYS order.
@@ -294,10 +296,10 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     right multiplication and reversed application order.  Raises
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    side, parsed = _parse_word(word)
+    side, word = _parse_word(word)
     L, alice, bob = r._rows()
     primes = _primes(alice, bob)
-    return float(_word_residual(side, L, primes, _images(L, primes, (side,)), parsed)[0])
+    return float(_word_residual(side, L, primes, _images(L, primes, (side,)), word)[0])
 
 
 # The conjugated Bell basis as a (4, 4) matrix: row x holds bell_matrix(BELL_KINDS[x]).conj(), flattened.

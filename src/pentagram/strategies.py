@@ -33,7 +33,7 @@ the ground truth.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from types import MappingProxyType
 
@@ -243,22 +243,7 @@ class ValidationReport:
     worst: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def deviations(self) -> dict[str, float]:
-        return {
-            "hermiticity": self.hermiticity,
-            "involution": self.involution,
-            "commutation": self.commutation,
-            "context_product": self.context_product,
-            "state_norm": self.state_norm,
-        }
-
-
-def _location(name: str, i: int) -> str:
-    """Where the i-th deviation of the validation field `name` lies, in _validate_rows' order."""
-    game = STANDARD_GAME
-    if name not in ("hermiticity", "involution"):
-        # one per context, and the commutators pair by pair, five contexts a pair
-        return f"context {game.context_names[i % 5]}"
-    return f"Bob vertex {game.vertices[i]}" if i < 10 else "Alice context {} vertex {}".format(*game.questions()[i - 10])
+        return {f.name: getattr(self, f.name) for f in fields(self)[:5]}
 
 
 class InvalidStrategyError(ValueError):
@@ -270,7 +255,7 @@ class StrategyValidationError(InvalidStrategyError):
 
     def __init__(self, report: ValidationReport):
         self.report = report
-        where = {name: f" at {_location(name, i)}" for name, i in zip(report.deviations(), report.worst)}
+        where = {name: f" at {at[i]}" for name, at, i in zip(report.deviations(), _LOCATIONS, report.worst)}
         failing = ", ".join(
             f"{name} {dev:.3e}{where.get(name, '')}" for name, dev in report.deviations().items() if not dev <= report.tol
         )
@@ -357,6 +342,13 @@ def validate(s: ReflectionStrategy | ProjectiveStrategy, tol: float) -> Validati
         _check_projective(s, tol)
         s = _reflection_form(s)
     return _validate_rows(s._L[None], s._alice[None], s._bob[None], tol)[0]
+
+
+# Where each deviation of _validate_rows' four families lies, in its order, for StrategyValidationError's message.
+_OPERATORS = [f"Bob vertex {v}" for v in STANDARD_GAME.vertices]
+_OPERATORS += [f"Alice context {j} vertex {v}" for j, v in STANDARD_GAME.questions()]
+_CONTEXTS = [f"context {j}" for j in STANDARD_GAME.context_names]
+_LOCATIONS = (_OPERATORS, _OPERATORS, _CONTEXTS * len(_PAIRS_A), _CONTEXTS)
 
 
 def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:

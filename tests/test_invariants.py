@@ -5,6 +5,7 @@ stays deterministic and fast.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from pentagram.optimize import (
     MODES,
     PerturbationSpec,
     bob_best_response,
+    haar_unitary,
     perturb_ideal,
     random_reflection,
     random_strategy,
@@ -91,3 +93,50 @@ def test_certify_commutes_with_conjugation(r):
     del plain["junk"]
     assert mirrored.pop("junk") == matrix_to_json(report.junk.conj())
     assert mirrored == plain
+
+
+def rotated(r: ReflectionStrategy, u_a: np.ndarray, u_b: np.ndarray) -> ReflectionStrategy:
+    """r under local unitaries: L -> U_A L U_B^T, R -> U_A R U_A^dagger, S -> conj(U_B) S U_B^T."""
+    return ReflectionStrategy(
+        L=u_a @ r.L @ u_b.T,
+        alice={j: {v: u_a @ m @ u_a.conj().T for v, m in ctx.items()} for j, ctx in r.alice.items()},
+        bob={v: u_b.conj() @ m @ u_b.T for v, m in r.bob.items()},
+    )
+
+
+def close_fields(a, b, tol: float) -> bool:
+    """Two report_to_json trees with the same keys, equal booleans and floats within tol."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(close_fields(a[k], b[k], tol) for k in a)
+    if isinstance(a, bool):
+        return a is b
+    return abs(a - b) <= tol
+
+
+@budget
+@given(st.one_of(perturbed, st.builds(random_strategy, seeds)), seeds)
+@example(junk_register_strategy(), 0)
+def test_certify_invariant_under_local_unitaries(r, seed):
+    """Local unitaries leave every certificate field but junk unchanged, and carry junk to U_A junk U_B^T.
+
+    They commute with both isometries, V_A -> (U_A (x) I) V_A U_A^dagger and V_B likewise with conj(U_B), so the
+    image of the state becomes (U_A (x) I) P (U_B^T (x) I); the equality holds to rounding, on any BLAS kernel.
+    """
+    rng = np.random.default_rng(seed)
+    u_a, u_b = haar_unitary(rng, r.dim_a), haar_unitary(rng, r.dim_b)
+    report, moved = certify(r), certify(rotated(r, u_a, u_b))
+    plain, turned = report_to_json(report), report_to_json(moved)
+    del plain["junk"], turned["junk"]
+    assert close_fields(plain, turned, 1e-13)
+    assert np.max(np.abs(moved.junk - u_a @ report.junk @ u_b.T)) <= 1e-13
+
+
+# fixed seeds: W[v] with an eigenvalue near zero, which a generated case could give, may flip a sign
+@pytest.mark.parametrize("r", [random_strategy(s) for s in (0, 1, 2)] + [perturb_ideal(PerturbationSpec(0.3, 4))])
+def test_bob_best_response_commutes_with_local_unitaries(r):
+    """Bob's best response to the rotated strategy is his rotated best response: W[v] -> conj(U_B) W[v] U_B^T."""
+    rng = np.random.default_rng(7)
+    u_a, u_b = haar_unitary(rng, r.dim_a), haar_unitary(rng, r.dim_b)
+    best, moved = bob_best_response(r), bob_best_response(rotated(r, u_a, u_b))
+    for v in r.game.vertices:
+        assert frobenius_norm(moved.bob[v] - u_b.conj() @ best.bob[v] @ u_b.T) <= 1e-12

@@ -50,7 +50,6 @@ from pentagram.rigidity import (
     _core,
     _matmul,
     _pair_residuals,
-    _parse_word,
     certify,
     consistency_residuals,
     word_residual,
@@ -519,7 +518,8 @@ def test_junk_register_strategy_matches_loops():
     assert_kernels_match(r)
     images = ref_images(r)
     for word in JUNK_WORDS:
-        assert word_residual(r, word) == ref_word_residual(r, images, *_parse_word(word)), word
+        side, parsed = "alice" if word[0][1] in "123" else "bob", [(label[0], int(label[1])) for label in word]
+        assert word_residual(r, word) == ref_word_residual(r, images, side, parsed), word
     assert_core_rows_match([r])
     # a stack of three covers the tiles' batch axis
     assert_core_rows_match([r, junk_register_strategy(4, 0.01), junk_register_strategy(11, 0.3)])
@@ -538,7 +538,8 @@ def test_unequal_dimensions_match_loops(junk_dims):
     assert_kernels_match(r)
     images = ref_images(r)
     for word in JUNK_WORDS:
-        assert word_residual(r, word) == ref_word_residual(r, images, *_parse_word(word)), word
+        side, parsed = "alice" if word[0][1] in "123" else "bob", [(label[0], int(label[1])) for label in word]
+        assert word_residual(r, word) == ref_word_residual(r, images, side, parsed), word
     assert_core_rows_match([r, junk_register_strategy(4, 0.3, junk_dims)])
 
 

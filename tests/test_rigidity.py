@@ -166,6 +166,15 @@ class TestWordResiduals:
         with pytest.raises(ValueError, match=re.escape(f"bad operator label {label!r}, expected one of X1, Z1, ")):
             word_residual(ideal, ["X1", label])
 
+    def test_word_from_any_iterable(self):
+        # a word is read once, so an iterator or a generator gives the list's residual
+        r = perturb_ideal(PerturbationSpec(1e-2, 8))
+        listed = word_residual(r, ["X1", "Z2"])
+        assert word_residual(r, iter(["X1", "Z2"])) == listed
+        assert word_residual(r, (label for label in ["X1", "Z2"])) == listed
+        with pytest.raises(ValueError, match="word must be nonempty"):
+            word_residual(r, iter([]))
+
     def test_repeated_word_linear_growth(self):
         # a word repeating one reflection grows at most linearly, exactly
         r = perturb_ideal(PerturbationSpec(1e-2, 21))
