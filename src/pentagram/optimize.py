@@ -12,7 +12,8 @@ A perturbation comes in two halves.  The draw holds everything that does
 not depend on delta: the generators (exactly Hermitian, so decomposed
 unchecked), their eigendecompositions and the state noise.  Applying it at
 a scale delta only exponentiates and conjugates.  A calibration draws once
-and applies that draw at every bisection step; no draw outlives the call.
+and applies that draw at every step of its root search; no draw outlives
+the call.
 
 A sweep draws each row from its own child seed, then validates each row once
 and measures only the families its CSV reports (epsilon, consistency,
@@ -28,6 +29,8 @@ depends only on its own indices.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,8 +62,12 @@ class PerturbationSpec:
     mode: str = "combined"
 
     def __post_init__(self):
+        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
+            raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in MODES:
@@ -208,20 +215,24 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
     return ReflectionStrategy._from_arrays(L, r._alice, (vecs * signs[:, None, :]) @ _dagger(vecs))
 
 
-# Bisection steps calibrate_delta takes before it reports non-convergence.
+# Steps calibrate_delta takes before it reports non-convergence.
 _MAX_BISECTIONS = 60
 
 
 def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0) -> PerturbationSpec:
-    """Bisect the perturbation scale until epsilon is within 10% of target.
+    """Search the perturbation scale until epsilon is within 10% of target.
 
     The generators and state noise of (seed, mode) are drawn once per call,
     so the map delta -> epsilon is a fixed smooth function during the
-    search, and each bisection step only exponentiates the stored
-    eigendecompositions and scores the result.  The accepted strategy is
-    validated once, by the one gate, before its spec is returned.  Raises
-    CalibrationError when the target is unreachable on [0, 1] or the
-    bracket is not monotone.
+    search, and each step only exponentiates the stored eigendecompositions
+    and scores the result.  Each step keeps a bracket (lo, hi) around the
+    target and guesses from epsilon ~ delta**2: from the origin while
+    epsilon(lo) is zero, else by interpolating log epsilon against log
+    delta between the ends.  A guess that is not finite or falls outside the
+    middle 98% of the bracket is replaced by its midpoint.  The accepted
+    strategy is validated once, by the one gate, before its spec is
+    returned.  Raises CalibrationError when the target is unreachable on
+    [0, 1] or the bracket is not monotone.
     """
     if not 0.0 < target_epsilon <= 0.1:
         raise ValueError(f"target epsilon must lie in (0, 0.1], got {target_epsilon}")
@@ -237,7 +248,13 @@ def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0
             f"for mode={mode}, seed={seed}"
         )
     for _ in range(_MAX_BISECTIONS):
-        mid = (lo + hi) / 2
+        if e_lo > 0.0:  # e_lo < target <= e_hi, so both logs are positive
+            mid = lo * (target_epsilon / e_lo) ** (math.log(hi / lo) / math.log(e_hi / e_lo))
+        else:
+            mid = hi * math.sqrt(target_epsilon / e_hi)
+        margin = 0.01 * (hi - lo)
+        if not lo + margin <= mid <= hi - margin:  # also catches NaN
+            mid = (lo + hi) / 2
         stacks = _apply(draw, mid)
         e_mid = 1.0 - _scores(*(x[None] for x in stacks))[0]
         if e_mid < e_lo - 1e-15 or e_mid > e_hi + 1e-15:
@@ -251,7 +268,7 @@ def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0
             lo, e_lo = mid, e_mid
         else:
             hi, e_hi = mid, e_mid
-    raise CalibrationError(f"bisection did not converge within {_MAX_BISECTIONS} iterations")
+    raise CalibrationError(f"calibration did not converge within {_MAX_BISECTIONS} iterations")
 
 
 def _child_seed(seed: int, delta_index: int, sample_index: int) -> int:

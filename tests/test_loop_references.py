@@ -469,7 +469,7 @@ def test_perturbed_matches_loops(mode, delta):
     @given(seeds)
     @example(2)  # with (0.3, context-unitaries), an array ** 2 of its norms moves a term's last bit
     def check(seed):
-        # one draw serves every scale, as in calibrate_delta's bisection
+        # one draw serves every scale, as in calibrate_delta's search
         draw = _draw(seed, mode)
         for d in DELTAS:
             assert_same_strategy(ReflectionStrategy._from_arrays(*_apply(draw, d)), ref_perturbed(PerturbationSpec(d, seed, mode)))

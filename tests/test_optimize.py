@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestPerturbationSpec:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             PerturbationSpec(0.1, 0, "alice-unitaries")
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, np.float64(2.0)], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {re.escape(repr(seed))}"):
+            PerturbationSpec(0.01, seed)
+
+    @pytest.mark.parametrize("delta", [True, False, "0.1", None, 0.1j], ids=repr)
+    def test_delta_must_be_a_real_number(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be a real number, got {re.escape(repr(delta))}"):
+            PerturbationSpec(delta, 3)
+
+    def test_numpy_scalars_accepted(self):
+        spec = PerturbationSpec(np.float64(0.01), np.int64(5))
+        assert _strategies_equal(perturb_ideal(spec), perturb_ideal(PerturbationSpec(0.01, 5)))
 
 
 class TestPerturbIdeal:
@@ -175,9 +190,58 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="within 1 iterations"):
             calibrate_delta(1e-4, seed=3)
 
+    def test_target_above_epsilon_at_one_reported(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_scores", lambda L, alice, bob: np.array([0.99]))
+        with pytest.raises(CalibrationError, match="is below the target"):
+            calibrate_delta(0.05, seed=3)
+
+    def test_non_monotone_epsilon_reported(self, monkeypatch):
+        # epsilon(1) = 0.1, then 0.2 at the first smaller scale tried: no monotone map gives that
+        evaluations = iter([0.1, 0.2])
+        monkeypatch.setattr(optimize, "_scores", lambda L, alice, bob: np.array([1.0 - next(evaluations)]))
+        with pytest.raises(CalibrationError, match="not monotone on the bracket"):
+            calibrate_delta(1e-3, seed=3)
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The scales _apply is called with, one per scoring pass, delta = 1 included."""
+        calls, apply = [], optimize._apply
+
+        def counting(draw, delta):
+            calls.append(delta)
+            return apply(draw, delta)
+
+        monkeypatch.setattr(optimize, "_apply", counting)
+        return calls
+
+    def test_fixed_grid_lands_in_few_evaluations(self, evaluations):
+        counts = []
+        for target in (1e-6, 1e-4, 1e-3, 1e-2, 0.1):
+            for mode in MODES:
+                for seed in range(5):
+                    evaluations.clear()
+                    spec = calibrate_delta(target, mode=mode, seed=seed)
+                    counts.append(len(evaluations))
+                    eps = 1.0 - score(perturb_ideal(spec))
+                    assert abs(eps - target) <= 0.1 * target, (target, mode, seed, eps)
+        assert max(counts) <= 6
+        assert sum(counts) <= 400  # bisection took 790
+
+    def test_benchmark_calibrations_take_three_evaluations(self, evaluations):
+        # the four calibrations of perfbench's search workload; bisection took 10, 8, 7 and 10
+        for target, seed, mode in (
+            (1e-3, 101, "combined"),
+            (1e-4, 102, "context-unitaries"),
+            (1e-3, 103, "bob-unitaries"),
+            (1e-4, 104, "state-noise"),
+        ):
+            evaluations.clear()
+            calibrate_delta(target, mode=mode, seed=seed)
+            assert len(evaluations) == 3
+
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "state-noise"])
     def test_draws_generators_once(self, monkeypatch, mode):
-        # every bisection step reuses the one draw of (seed, mode)
+        # every step of the search reuses the one draw of (seed, mode)
         calls = []
 
         def counting(rng, dim, count):
@@ -344,7 +408,7 @@ class TestScalingStudy:
 
 
 def test_calibrate_delta_validates_once(monkeypatch):
-    # bisection steps only score; the accepted spec is validated once
+    # search steps only score; the accepted spec is validated once
     calls, gate = [], strategies._require_valid_rows
 
     def counting(L, alice, bob):
@@ -359,4 +423,6 @@ def test_calibrate_delta_validates_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert validate(perturb_ideal(spec), 1e-10).passed
-    assert spec == PerturbationSpec(0.03515625, 3, "combined")
+    # an interpolated delta: its last bits follow the BLAS kernel, about 4e-16 relative
+    assert spec.delta == pytest.approx(0.03437501096211456, rel=1e-12)
+    assert (spec.seed, spec.mode) == (3, "combined")
