@@ -150,7 +150,6 @@ def _first_bad_entry(data) -> int:
 
 
 def dump_json(obj, path) -> None:
-    """Write JSON deterministically (sorted keys, repr floats)."""
+    """Write JSON deterministically (sorted keys, repr floats), encoded whole and written in one call."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

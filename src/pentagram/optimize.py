@@ -66,6 +66,7 @@ class PerturbationSpec:
             raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta))  # _apply computes in floats; the dataclass is frozen
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.seed < 0:
@@ -216,7 +217,7 @@ def bob_best_response(r: ReflectionStrategy) -> ReflectionStrategy:
 
 
 # Steps calibrate_delta takes before it reports non-convergence.
-_MAX_BISECTIONS = 60
+_MAX_STEPS = 60
 
 
 def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0) -> PerturbationSpec:
@@ -247,7 +248,7 @@ def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0
             f"epsilon({hi}) = {e_hi:.3e} is below the target {target_epsilon:.3e} "
             f"for mode={mode}, seed={seed}"
         )
-    for _ in range(_MAX_BISECTIONS):
+    for _ in range(_MAX_STEPS):
         if e_lo > 0.0:  # e_lo < target <= e_hi, so both logs are positive
             mid = lo * (target_epsilon / e_lo) ** (math.log(hi / lo) / math.log(e_hi / e_lo))
         else:
@@ -268,7 +269,7 @@ def calibrate_delta(target_epsilon: float, mode: str = "combined", seed: int = 0
             lo, e_lo = mid, e_mid
         else:
             hi, e_hi = mid, e_mid
-    raise CalibrationError(f"calibration did not converge within {_MAX_BISECTIONS} iterations")
+    raise CalibrationError(f"calibration did not converge within {_MAX_STEPS} iterations")
 
 
 def _child_seed(seed: int, delta_index: int, sample_index: int) -> int:

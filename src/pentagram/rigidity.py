@@ -25,17 +25,19 @@ the gate's own deviation kernel.  Measures read a strategy's read-only
 stacks, and stacked (B, ...) strategies that passed the gate go through one
 certificate core: a sweep passes many rows and certify one, while
 extract_state builds both isometries, word_residual only its side's and
-consistency_residuals none.  No row depends on its batch.  certify's
-certify-only families (context changes, pair commutators and
-anticommutators, a fixed sample of change words) read the same stacks, the
-pairs through index tables built at import and the words through one
-product on L.
+consistency_residuals none; a strategy remembers the images it builds.
+No row depends on its batch.  certify's certify-only families (context
+changes, pair commutators and anticommutators, a fixed sample of change
+words) read the same stacks in stacked products in the loops' order, each
+stack within _STACK_BYTES: a pair family through index tables built at
+import, the words of one length (the context changes among them) factor by
+factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -51,7 +53,6 @@ from .linalg import (
     _frobenius_norms,
     as_matrix,
     bell_matrix,
-    frobenius_norm,
     matrix_to_json,
 )
 from .strategies import (
@@ -297,9 +298,16 @@ def word_residual(r: ReflectionStrategy, word) -> float:
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
     side, word = _parse_word(word)
+    return float(_word_residual(side, *_remembered(r, (side,)), word)[0])
+
+
+def _remembered(r: ReflectionStrategy, sides) -> tuple[np.ndarray, dict, dict]:
+    """r's one-row L, primes and images of `sides`, each built on first use and remembered: r's stacks are read-only."""
     L, alice, bob = r._rows()
-    primes = _primes(alice, bob)
-    return float(_word_residual(side, L, primes, _images(L, primes, (side,)), word)[0])
+    if r._primes is None:
+        r._primes, r._images = _primes(alice, bob), {}
+    r._images.update(_images(L, r._primes, [side for side in sides if side not in r._images]))
+    return L, r._primes, r._images
 
 
 # The conjugated Bell basis as a (4, 4) matrix: row x holds bell_matrix(BELL_KINDS[x]).conj(), flattened.
@@ -349,8 +357,7 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
     state_residual = sqrt(||P||^2 - ||junk||^2).  Raises
     StrategyValidationError unless r validates at STRUCTURE_TOL.
     """
-    L, alice, bob = r._rows()
-    return _extract_states(_images(L, _primes(alice, bob)))[0]
+    return _extract_states(_remembered(r, ("alice", "bob"))[2])[0]
 
 
 def _pair_tables() -> tuple[dict, dict]:
@@ -379,47 +386,60 @@ def _pair_tables() -> tuple[dict, dict]:
 _COMM_PAIRS, _ANTI_PAIRS = _pair_tables()
 
 
+# The pair and word families run in stacked products over at most this many bytes of operators: at d = 32 a larger
+# stack's temporaries are mostly faulted in fresh, page by page, on every call, which costs more than the products.
+_STACK_BYTES = 2**17
+
+
 def _pair_residuals(L: np.ndarray, R: np.ndarray, S: np.ndarray):
     """Commutator and anticommutator families over vertex pairs, from one row's L, R (20, da, da) and S (10, db, db).
 
-    Each entry is || AB -+ BA || on L, as (A @ B) @ L for Alice and (L @ B) @ A for Bob, pair by pair:
-    stacking a family across its pairs measured slower at d = 32, its temporaries costing more than the loop.
+    Each entry is || AB -+ BA || on L, as (A @ B) @ L for Alice and (L @ B) @ A for Bob, in stacked products over as
+    many of a family's pairs as _STACK_BYTES holds of the side's operators: the whole family at d = 8.
     """
     comm, anti = {}, {}
-    sides = (("alice", R, lambda a, b: a @ b @ L), ("bob", S, lambda a, b: L @ b @ a))
-    for side, ops, prod in sides:
+    for side, ops in (("alice", R), ("bob", S)):
+        k = max(1, _STACK_BYTES // ops[0].nbytes)
         for out, table, combine in ((comm, _COMM_PAIRS, np.subtract), (anti, _ANTI_PAIRS, np.add)):
-            out[side] = {
-                key: frobenius_norm(combine(prod(ops[i], ops[j]), prod(ops[j], ops[i]))) for key, i, j in table[side]
-            }
+            keys, i, j = map(list, zip(*table[side]))
+            out[side] = {}
+            for s in range(0, len(keys), k):
+                A, B = ops[i[s : s + k]], ops[j[s : s + k]]
+                pairs = combine(A @ B @ L, B @ A @ L) if side == "alice" else combine(L @ B @ A, L @ A @ B)
+                out[side].update(zip(keys[s : s + k], _frobenius_norms(pairs).tolist()))
     return comm, anti
 
 
 @cache
-def _change_words() -> tuple[tuple[int, tuple], ...]:
-    """certify's fixed change-word sample (all words are too many): per length n, (n, 20 (left, right) words).
+def _change_words() -> tuple[tuple[int, np.ndarray], ...]:
+    """certify's fixed change-word sample (all words are too many): per length n, (n, (20, 2, n) (left, right) words).
 
-    A word lists its question indices in the order _on_L applies them.  A sample draws n vertices uniformly, then
+    A word lists its question indices in the order _word_gaps applies them.  A sample draws n vertices uniformly, then
     (n, 2) bits: row k holds the left and right context choice of the k-th factor applied, on the vertex drawn at
     n-1-k, bit 1 picking its first context.  Drawn once, on first use.
     """
     rng = np.random.default_rng(0)
 
-    def word_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def word_pair(n: int) -> np.ndarray:
         vs, bits = rng.choice(len(_VERTEX_QUESTIONS), size=n), rng.integers(2, size=(n, 2))
-        return tuple(map(tuple, _VERTEX_QUESTIONS[vs[::-1, None], 1 - bits].T.tolist()))
+        return _VERTEX_QUESTIONS[vs[::-1, None], 1 - bits].T
 
-    return tuple((n, tuple(word_pair(n) for _ in range(20))) for n in (2, 3, 4, 5, 6))
-
-
-def _on_L(L: np.ndarray, R: np.ndarray, word) -> np.ndarray:
-    """R[q_n] @ (... @ (R[q_1] @ L)) for a word (q_1, ..., q_n) of indices into the question stack R (20, da, da)."""
-    return reduce(lambda x, q: R[q] @ x, word, L)
+    return tuple((n, np.array([word_pair(n) for _ in range(20)])) for n in (2, 3, 4, 5, 6))
 
 
-def _gaps(L: np.ndarray, R: np.ndarray, words) -> list[float]:
-    """|| left L - right L || per (left, right) pair of question words; a context change is a vertex's two questions."""
-    return [frobenius_norm(_on_L(L, R, left) - _on_L(L, R, right)) for left, right in words]
+def _word_gaps(RL: np.ndarray, R: np.ndarray, words: np.ndarray) -> list[float]:
+    """|| left L - right L || per (left, right) pair of (m, 2, n) words; a context change is a vertex's two questions.
+
+    A word (q_1, ..., q_n) is R[q_n] @ (... @ (R[q_1] @ L)) from RL = R @ L, factor by factor in _STACK_BYTES stacks.
+    """
+    gaps, k = [], max(1, _STACK_BYTES // (2 * R[0].nbytes))
+    for s in range(0, len(words), k):
+        piece = words[s : s + k].reshape(-1, words.shape[-1])
+        x = RL[piece[:, 0]]
+        for q in piece.T[1:]:
+            x = R[q] @ x
+        gaps += _frobenius_norms(x[::2] - x[1::2]).tolist()
+    return gaps
 
 
 def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
@@ -451,6 +471,7 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
     consistency = dict(zip(r.game.questions(), map(float, consistency[0])))
     L, R, S = r._L, _by_question(r._alice, r._bob)[0], r._bob
     comm, anti = _pair_residuals(L, R, S)
+    RL = R @ L
     bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
 
     return RigidityReport(
@@ -460,10 +481,10 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
         junk=extraction.junk,
         op_residuals=dict(zip(_OP_KEYS, map(float, ops[0]))),
         consistency_residuals=consistency,
-        context_change_residuals=dict(zip(r.game.vertices, _gaps(L, R, _VERTEX_QUESTIONS[:, :, None]))),
+        context_change_residuals=dict(zip(r.game.vertices, _word_gaps(RL, R, _VERTEX_QUESTIONS[:, :, None]))),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals={n: max(0.0, *_gaps(L, R, words)) for n, words in _change_words()},
+        change_word_residuals={n: max(0.0, *_word_gaps(RL, R, words)) for n, words in _change_words()},
         consistency_bound_ok=all(res <= bound for res in consistency.values()),
         validation=report,
     )

@@ -144,12 +144,13 @@ class ReflectionStrategy(_StackedStrategy):
     The stacks are laid out as _ideal_arrays' are: L (da, db), Alice's (5, 4, da, da) and Bob's (10, db, db).  The
     constructor copies L, alice {j: {v: R[j][v]}} and bob {v: S[v]} into them, and r.L, r.alice[j][v] and r.bob[v]
     are read-only views of them.  The axioms wait for the one gate, which _rows runs when a measure first reads the
-    stacks; its verdict is remembered, since nothing can change the stacks.
+    stacks; its verdict is remembered, since nothing can change the stacks, and so are the simulated Paulis and
+    isometry images that rigidity's single-strategy measures build.
     """
 
     _ALICE_KEYS = [STANDARD_GAME.contexts[j] for j in STANDARD_GAME.context_names]
     _FILE = "L", "R", "S", [[str(v) for v in vs] for vs in _ALICE_KEYS], ""
-    _verdict = None
+    _verdict = _primes = _images = None
 
     def __new__(cls, L, alice, bob):
         L = _complex("L", L)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ class TestPerturbationSpec:
     def test_numpy_scalars_accepted(self):
         spec = PerturbationSpec(np.float64(0.01), np.int64(5))
         assert _strategies_equal(perturb_ideal(spec), perturb_ideal(PerturbationSpec(0.01, 5)))
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 100), np.float32(0.25), 1], ids=repr)
+    def test_delta_stored_as_float(self, delta):
+        spec = PerturbationSpec(delta, 3)
+        assert type(spec.delta) is float and spec.delta == float(delta)
+        got, want = perturb_ideal(spec), perturb_ideal(PerturbationSpec(float(delta), 3))
+        assert all(np.array_equal(a, b) for a, b in zip(got._rows(), want._rows()))
 
 
 class TestPerturbIdeal:
@@ -186,7 +194,7 @@ class TestCalibration:
             calibrate_delta(0.2)
 
     def test_non_convergence_reported(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_MAX_BISECTIONS", 1)
+        monkeypatch.setattr(optimize, "_MAX_STEPS", 1)
         with pytest.raises(CalibrationError, match="within 1 iterations"):
             calibrate_delta(1e-4, seed=3)
 
@@ -367,7 +375,7 @@ class TestScalingStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep row computed a family the CSV does not report")
 
-        for name in ("_pair_residuals", "_on_L", "_change_words"):
+        for name in ("_pair_residuals", "_word_gaps", "_change_words"):
             monkeypatch.setattr(rigidity, name, refuse)
         with pytest.raises(AssertionError):
             certify(ideal_strategy())

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from functools import partial, reduce
 from itertools import product
@@ -490,6 +491,19 @@ def test_certify_builds_each_isometry_once(isometry_builds):
     sides.clear()
     word_residual(r, ["Z4", "X5"])
     assert sides == ["bob"]
+
+
+def test_word_residual_builds_each_isometry_once_per_strategy(isometry_builds):
+    r, sides = isometry_builds
+    # the junk benchmark's eight words: an X and a Z on each side, once and three times
+    words = [[label] * n for label in ("X1", "Z3", "X4", "Z6") for n in (1, 3)]
+    residuals = [word_residual(r, word) for word in words]
+    extract_state(r)
+    assert sorted(sides) == ["alice", "bob"]
+    # a fresh copy and a pickled one build their own, once each, and measure the same floats
+    for copy in (ReflectionStrategy(r.L, r.alice, r.bob), pickle.loads(pickle.dumps(r))):
+        assert [word_residual(copy, word) for word in words] == residuals
+    assert sorted(sides) == ["alice"] * 3 + ["bob"] * 3
 
 
 def test_single_field_measures_build_only_their_isometries(isometry_builds):
