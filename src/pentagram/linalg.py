@@ -8,8 +8,10 @@ appended to the right of the space they extend.
 
 from __future__ import annotations
 
+import ctypes
 import json
-from functools import reduce
+from contextlib import contextmanager
+from functools import cache, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -88,6 +90,38 @@ def _exp_i_eigen(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     exponentiate one h at many scales decompose it once.
     """
     return (v * np.exp(1j * scale * w)[..., None, :]) @ _dagger(v)
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, by name among what numpy links, or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed products on one OpenBLAS thread, then restore the previous, process-global count; nestable.
+
+    At 2 threads OpenBLAS 0.3.31 spins a second thread ~100 ms on a 64x32x32 zgemm; on Haswell's kernel it moves bits.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def bell_matrix(kind: str) -> np.ndarray:

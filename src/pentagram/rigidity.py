@@ -51,6 +51,7 @@ from .linalg import (
     STRUCTURE_TOL,
     _dagger,
     _frobenius_norms,
+    _one_blas_thread,
     as_matrix,
     bell_matrix,
     matrix_to_json,
@@ -103,53 +104,11 @@ class RigidityReport:
         return max(self.consistency_residuals.values())
 
 
-# OpenBLAS 0.3.31 with 2 threads runs a complex gemm of 64x32x32 = 65,536 multiply-adds on its second thread, which
-# then spins at full CPU for about 100 ms; a 32x32x32 gemm stays on the calling thread.  _matmul splits every
-# product into BLAS calls of at most this many multiply-adds.
-_ONE_THREAD_WORK = 32**3
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for (..., m, k) and (..., k, n) stacks of one batch shape, in small BLAS calls.
-
-    A product above _ONE_THREAD_WORK runs as one batched matmul over r x w tiles, each written in place in the
-    result.  Starting from the whole product, the larger of r and w halves while a tile exceeds the limit, r only
-    while the half stays even and w only while it stays a multiple of 4: zgemm kernels take a row-major product's
-    rows in pairs and its columns in groups of up to 4, and round a part group differently.  At d = 32 the
-    isometries' and images' tiles are 32 x 32 x 32 and the Bell expansion's 4 x 4 x 2048 and 2048 x 4 x 4; where m or
-    n cannot be halved so, a tile may exceed the limit.
-
-    Checked at the call sites' shapes for every d up to 48 and for unequal da and db up to 40: the tiles equal a @ b
-    on one thread bit for bit on OpenBLAS 0.3.31's SkylakeX, Sandybridge, Nehalem and Prescott kernels, and on
-    SkylakeX at two threads too (on the others, a product that two threads share, whole or a tile above the limit,
-    can round differently from one thread's).  They do not on its Haswell kernel, which Zen also uses: it takes rows
-    in groups of 6, so there the last bits move, except in the Bell expansion's _BELL @ (4, 16 da db) and
-    (16 da db, 4) @ _BELL.T, whose real operand still gives equal tiles.
-    """
-    (m, k), n = a.shape[-2:], b.shape[-1]
-    if m * n * k <= _ONE_THREAD_WORK:
-        return a @ b
-    r, w = m, n
-    while r * k * w > _ONE_THREAD_WORK:
-        if w % 8 == 0 and (w >= r or r % 4):
-            w //= 2
-        elif r % 4 == 0:
-            r //= 2
-        else:
-            break
-    batch = a.shape[:-2]
-    out = np.empty((*batch, m, n), dtype=np.result_type(a, b))
-    rows = a.reshape(*batch, m // r, 1, r, k)
-    cols = b.reshape(*batch, 1, k, n // w, w).swapaxes(-3, -2)
-    np.matmul(rows, cols, out=out.reshape(*batch, m // r, r, n // w, w).swapaxes(-3, -2))
-    return out
-
-
 def _controlled(t: np.ndarray, k: int, u: np.ndarray) -> None:
     """Apply each row's u to the original-space axis of t where ancilla k is |1>, in place."""
     one = (slice(None),) * (k + 1) + (1,)
     sub = t[one]
-    t[one] = _matmul(u, sub.reshape(*sub.shape[:2], -1)).reshape(sub.shape)
+    t[one] = (u @ sub.reshape(*sub.shape[:2], -1)).reshape(sub.shape)
 
 
 def _isometries(primes: np.ndarray) -> np.ndarray:
@@ -221,7 +180,7 @@ def _images(L: np.ndarray, primes: dict, sides=("alice", "bob")) -> dict:
     """Each side's stacked (V_A, V_A L) or (V_B^dagger, L V_B^dagger), its isometries built once."""
     v = {side: _isometries(primes[side]) for side in sides}
     v = {side: m if side == "alice" else _dagger(m) for side, m in v.items()}
-    return {side: (m, _matmul(m, L) if side == "alice" else _matmul(L, m)) for side, m in v.items()}
+    return {side: (m, m @ L if side == "alice" else L @ m) for side, m in v.items()}
 
 
 def consistency_residuals(r: ReflectionStrategy) -> dict[tuple[str, int], float]:
@@ -264,7 +223,7 @@ def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -
         lhs = _ancilla_pauli(lhs, "XZ"[k % 2], first + k // 2)
         op = primes[side][:, k]
         rhs = op @ rhs if side == "alice" else rhs @ op
-    out = _matmul(v, rhs) if side == "alice" else _matmul(rhs, v)
+    out = v @ rhs if side == "alice" else rhs @ v
     # V (O' L) - P (V L) in place: the residual's negation, with the same norm to the bit
     out.reshape(n, *regs)[...] -= lhs
     return _frobenius_norms(out)
@@ -272,6 +231,8 @@ def _word_residual(side: str, L: np.ndarray, primes: dict, images: dict, word) -
 
 def _parse_word(word) -> tuple[str, list[int]]:
     """A word's side and each label's index k into that side's six simulated Paulis, the word read once."""
+    if isinstance(word, str):
+        raise ValueError(f"word {word!r} is a bare string, expected a sequence of labels such as ['X1']")
     indices = []
     for label in word:
         if label not in _OP_KEYS:
@@ -288,6 +249,7 @@ def _parse_word(word) -> tuple[str, list[int]]:
 _OP_WORDS = [_parse_word([key]) for key in _OP_KEYS]
 
 
+@_one_blas_thread()
 def word_residual(r: ReflectionStrategy, word) -> float:
     """Simulation error of a sequence of same-side measurements.
 
@@ -317,16 +279,16 @@ _BELL = np.stack([bell_matrix(k) for k in BELL_KINDS]).conj().reshape(4, 4)
 def _bell_expand(P: np.ndarray) -> np.ndarray:
     """(4, 4, 4, da, db) coefficients of P (8da, 8db) over the Bell basis on each ancilla pair (Qi, Q(i+3)).
 
-    Three products through _matmul, _BELL @ P(il, rest), then T(rest, jm) @ _BELL.T, then T(rest, kn) @ _BELL.T: the
-    order and operand order of np.einsum's optimal path, so the result equals its einsum bit for bit.
+    Three products, _BELL @ P(il, rest), then T(rest, jm) @ _BELL.T, then T(rest, kn) @ _BELL.T: the order and operand
+    order of np.einsum's optimal path, so the result equals its einsum bit for bit.
     """
     da, db = P.shape[0] // 8, P.shape[1] // 8
     # axes (a, i, j, k, b, l, m, n), Alice's ancillas i, j, k and Bob's l, m, n
-    t = _matmul(_BELL, P.reshape(da, 2, 2, 2, db, 2, 2, 2).transpose(1, 5, 0, 2, 3, 4, 6, 7).reshape(4, -1))
+    t = _BELL @ P.reshape(da, 2, 2, 2, db, 2, 2, 2).transpose(1, 5, 0, 2, 3, 4, 6, 7).reshape(4, -1)
     # (x, a, j, k, b, m, n) -> (x, a, k, b, n, y)
-    t = _matmul(t.reshape(4, da, 2, 2, db, 2, 2).transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, 4), _BELL.T)
+    t = t.reshape(4, da, 2, 2, db, 2, 2).transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, 4) @ _BELL.T
     # (x, a, k, b, n, y) -> (x, y, a, b, z)
-    t = _matmul(t.reshape(4, da, 2, db, 2, 4).transpose(0, 5, 1, 3, 2, 4).reshape(-1, 4), _BELL.T)
+    t = t.reshape(4, da, 2, db, 2, 4).transpose(0, 5, 1, 3, 2, 4).reshape(-1, 4) @ _BELL.T
     return t.reshape(4, 4, da, db, 4).transpose(0, 1, 4, 2, 3)
 
 
@@ -335,7 +297,7 @@ def _extract_states(images: dict) -> list[StateExtraction]:
     out = []
     # row by row, so that one row's P (8da, 8db) is alive at a time
     for image, v in zip(images["alice"][1], images["bob"][0]):
-        comps = _bell_expand(_matmul(image, v))
+        comps = _bell_expand(image @ v)
         norms = _frobenius_norms(comps).ravel()
         weights = dict(zip(product(BELL_KINDS, repeat=3), (float(x**2) for x in norms)))
         # sqrt(||P||^2 - ||junk||^2) evaluated as the off-target weight sum, which
@@ -346,6 +308,7 @@ def _extract_states(images: dict) -> list[StateExtraction]:
     return out
 
 
+@_one_blas_thread()
 def extract_state(r: ReflectionStrategy) -> StateExtraction:
     """Bell-decompose the isometry image of the shared state.
 
@@ -442,6 +405,7 @@ def _word_gaps(RL: np.ndarray, R: np.ndarray, words: np.ndarray) -> list[float]:
     return gaps
 
 
+@_one_blas_thread()
 def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     """Measure epsilon, consistency, operators and state of B stacked strategies that have passed the gate.
 
@@ -455,6 +419,7 @@ def _core(L: np.ndarray, alice: np.ndarray, bob: np.ndarray):
     return epsilon, _consistency(L, alice, bob), ops, _extract_states(images)
 
 
+@_one_blas_thread()
 def certify(r: ReflectionStrategy) -> RigidityReport:
     """Assemble the full rigidity certificate for one strategy.
 

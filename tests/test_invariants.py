@@ -74,6 +74,15 @@ perturbed = st.builds(
 )
 
 
+def conjugated(r: ReflectionStrategy) -> ReflectionStrategy:
+    """r with L and every operator complex-conjugated."""
+    return ReflectionStrategy(
+        L=r.L.conj(),
+        alice={j: {v: m.conj() for v, m in ctx.items()} for j, ctx in r.alice.items()},
+        bob={v: m.conj() for v, m in r.bob.items()},
+    )
+
+
 @budget
 @given(st.one_of(perturbed, st.builds(random_strategy, seeds)))
 @example(junk_register_strategy())
@@ -83,13 +92,8 @@ def test_certify_commutes_with_conjugation(r):
     Conjugation commutes with every rounded product and sum, and the Bell basis, Hadamard and |+> are real, so
     this holds whichever BLAS kernel runs.
     """
-    conj = ReflectionStrategy(
-        L=r.L.conj(),
-        alice={j: {v: m.conj() for v, m in ctx.items()} for j, ctx in r.alice.items()},
-        bob={v: m.conj() for v, m in r.bob.items()},
-    )
     report = certify(r)
-    plain, mirrored = report_to_json(report), report_to_json(certify(conj))
+    plain, mirrored = report_to_json(report), report_to_json(certify(conjugated(r)))
     del plain["junk"]
     assert mirrored.pop("junk") == matrix_to_json(report.junk.conj())
     assert mirrored == plain
@@ -140,3 +144,16 @@ def test_bob_best_response_commutes_with_local_unitaries(r):
     best, moved = bob_best_response(r), bob_best_response(rotated(r, u_a, u_b))
     for v in r.game.vertices:
         assert frobenius_norm(moved.bob[v] - u_b.conj() @ best.bob[v] @ u_b.T) <= 1e-12
+
+
+# fixed seeds, as above
+@pytest.mark.parametrize("r", [random_strategy(s) for s in (0, 1, 2)] + [perturb_ideal(PerturbationSpec(0.3, 4))])
+def test_bob_best_response_commutes_with_conjugation(r):
+    """Bob's best response to the conjugated strategy is his conjugated best response, bit for bit.
+
+    A conjugated Hermitian W[v] has conjugated eigenvectors up to phase, and the sign projector does not depend on
+    the phase.
+    """
+    best, mirrored = bob_best_response(r), bob_best_response(conjugated(r))
+    for v in r.game.vertices:
+        assert np.array_equal(mirrored.bob[v], best.bob[v].conj())

@@ -7,14 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pentagram import rigidity
+from pentagram import linalg, rigidity
 from pentagram.game import STANDARD_GAME
-from pentagram.linalg import BELL_KINDS, PAULI_X, PAULI_Z, bell_matrix, frobenius_norm, kron_all
+from pentagram.linalg import BELL_KINDS, PAULI_X, PAULI_Z, _one_blas_thread, bell_matrix, frobenius_norm, kron_all
 from pentagram.optimize import (
     PerturbationSpec,
     perturb_ideal,
     random_reflection,
     random_strategy,
+    scaling_study,
 )
 from pentagram.rigidity import (
     DISTINGUISHED_CONTEXT,
@@ -161,6 +162,9 @@ class TestWordResiduals:
             word_residual(ideal, ["Y1"])
         with pytest.raises(ValueError):
             word_residual(ideal, ["X7"])
+        # a bare string would be read character by character, as the labels "X" and "1"
+        with pytest.raises(ValueError, match=re.escape("word 'X1' is a bare string, expected a sequence of labels")):
+            word_residual(ideal, "X1")
 
     @pytest.mark.parametrize("label", ["", 5, "X 1", "Z+2", "X01", "x1", None])
     def test_only_the_twelve_labels_accepted(self, ideal, label):
@@ -523,3 +527,58 @@ def test_single_field_measures_match_certify(build):
     assert (ext.bell_weights, ext.state_residual) == (report.bell_weights, report.state_residual)
     assert np.array_equal(ext.junk, report.junk)
     assert consistency_residuals(r) == report.consistency_residuals
+
+
+@pytest.fixture()
+def blas_threads():
+    """numpy's OpenBLAS (get, set), its thread count at 2 for the test and restored after it."""
+    threads = linalg._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links no OpenBLAS, so there is no thread count to limit")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+def test_measures_restore_the_blas_thread_count(blas_threads, ideal):
+    get, _ = blas_threads
+    certify(junk_register_strategy())
+    assert get() == 2
+    with pytest.raises(StrategyValidationError):
+        word_residual(replaced(ideal, bob={1: 0.5 * ideal.bob[1]}), ["X1"])
+    assert get() == 2
+    with _one_blas_thread():
+        with _one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_measures_multiply_on_one_blas_thread(blas_threads, monkeypatch):
+    get, _ = blas_threads
+    seen = {"_bell_expand": [], "_word_residual": []}
+    for name, counts in seen.items():
+
+        def spy(*args, original=getattr(rigidity, name), counts=counts):
+            counts.append(get())
+            return original(*args)
+
+        monkeypatch.setattr(rigidity, name, spy)
+    certify(junk_register_strategy())
+    scaling_study([0.01, 0.1], 2, seed=1)
+    # certify's one state and 12 operator words, then the study's four rows' in one pass
+    assert {name: (len(counts), set(counts)) for name, counts in seen.items()} == {
+        "_bell_expand": (5, {1}),
+        "_word_residual": (24, {1}),
+    }
+    assert get() == 2
+
+
+def test_certify_without_openblas_matches(monkeypatch):
+    # at d = 8 no product is large enough for OpenBLAS to share, so this holds on every kernel
+    r = perturb_ideal(PerturbationSpec(1e-2, 3))
+    default = report_to_json(certify(r))
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    assert report_to_json(certify(ReflectionStrategy(r.L, r.alice, r.bob))) == default
