@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import threading
 from contextlib import contextmanager
 from functools import cache, reduce
 from itertools import chain
@@ -105,6 +106,10 @@ def _openblas_threads():
     return get, set_
 
 
+# Held from _one_blas_thread's save to its restore, so scopes in different threads take turns on the global count.
+_BLAS_SCOPE = threading.RLock()
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the enclosed products on one OpenBLAS thread, then restore the previous, process-global count; nestable.
@@ -116,12 +121,13 @@ def _one_blas_thread():
         yield
         return
     get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    with _BLAS_SCOPE:
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
 
 
 def bell_matrix(kind: str) -> np.ndarray:
@@ -139,7 +145,7 @@ def bell_matrix(kind: str) -> np.ndarray:
 def matrix_to_json(a) -> dict:
     """Encode a matrix as {"rows", "cols", "data"} with row-major [re, im] pairs."""
     a = as_matrix(a)
-    data = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    data = np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 

@@ -349,7 +349,12 @@ def validate(s: ReflectionStrategy | ProjectiveStrategy, tol: float) -> Validati
 _OPERATORS = [f"Bob vertex {v}" for v in STANDARD_GAME.vertices]
 _OPERATORS += [f"Alice context {j} vertex {v}" for j, v in STANDARD_GAME.questions()]
 _CONTEXTS = [f"context {j}" for j in STANDARD_GAME.context_names]
-_LOCATIONS = (_OPERATORS, _OPERATORS, _CONTEXTS * len(_PAIRS_A), _CONTEXTS)
+_CONTEXT_PAIRS = [
+    f"{c} vertices {vs[a]}, {vs[b]}"
+    for c, vs in zip(_CONTEXTS, ReflectionStrategy._ALICE_KEYS)
+    for a, b in zip(_PAIRS_A, _PAIRS_B)
+]
+_LOCATIONS = (_OPERATORS, _OPERATORS, _CONTEXT_PAIRS, _CONTEXTS)
 
 
 def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float) -> list[ValidationReport]:
@@ -358,22 +363,20 @@ def _validate_rows(L: np.ndarray, alice: np.ndarray, bob: np.ndarray, tol: float
     # an overflow shows as an inf or NaN deviation, which fails, so numpy
     # need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        herm, invol, comm = [], [], []
+        herm, invol = [], []
         for A in (bob, alice):
             for devs, dev in zip((herm, invol), _deviations(A, np.eye(A.shape[-1]))):
                 devs.append(dev.reshape(n, -1))
-        # in place and pair by pair: smaller temporaries, for d = 32 and long stacks
-        for i, j in zip(_PAIRS_A, _PAIRS_B):
-            c = alice[:, :, i] @ alice[:, :, j]
-            c -= alice[:, :, j] @ alice[:, :, i]
-            comm.append(_frobenius_norms(c))
+        a, b = alice[:, :, _PAIRS_A], alice[:, :, _PAIRS_B]
+        c = a @ b
+        c -= b @ a
         P = np.eye(da, dtype=complex)
         for i in range(alice.shape[2]):
             P = P @ alice[:, :, i]
         labels = np.array([STANDARD_GAME.labels[j] for j in STANDARD_GAME.context_names])[:, None, None]
         prod = _frobenius_norms(P - labels * np.eye(da)) / np.sqrt(da)
         state = np.abs(_frobenius_norms(L) - 1.0)
-    families = [np.concatenate(x, axis=1) for x in (herm, invol, comm, [prod])]
+        families = [np.concatenate(x, axis=1) for x in (herm, invol, [_frobenius_norms(c).reshape(n, -1)], [prod])]
     # np.max and np.argmax, unlike max(), keep a NaN deviation, which then fails
     devs, worst = [np.max(x, axis=1) for x in families], np.stack([np.argmax(x, axis=1) for x in families], axis=1)
     return [
@@ -423,11 +426,7 @@ def _check_projective(p: ProjectiveStrategy, tol: float = STRUCTURE_TOL) -> None
     with np.errstate(over="ignore", invalid="ignore"):
         for A in (p._alice, p._bob):
             devs += [dev.ravel() for dev in _deviations(A, A)]
-            # summed outcome by outcome onto zero, as a loop over one measurement would
-            total = 0
-            for i in range(A.shape[1]):
-                total = total + A[:, i]
-            devs.append(_frobenius_norms(total - np.eye(A.shape[-1])))
+            devs.append(_frobenius_norms(A.sum(axis=1) - np.eye(A.shape[-1])))
     # np.max, unlike max(), keeps a NaN deviation, which then fails
     dev = np.max(np.concatenate(devs))
     if not dev <= tol:

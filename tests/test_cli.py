@@ -416,6 +416,7 @@ class TestStrictLoader:
             assert (code, out, err) == (1, "", f"error: {bad}: duplicate key '1'\n")
 
 
+@pytest.mark.blas_bytes
 class TestGoldenStudy:
     """scaling-study output pinned byte for byte.
 
@@ -437,6 +438,7 @@ class TestGoldenStudy:
         assert fit.read_bytes() == (self.DATA / f"fit-{mode}.json").read_bytes()
 
 
+@pytest.mark.blas_bytes
 class TestGoldenCertificate:
     """certify's report pinned byte for byte.
 

@@ -4,12 +4,15 @@ Each property runs a small derandomized budget of examples, so the suite
 stays deterministic and fast.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentagram.linalg import frobenius_norm, matrix_to_json
+from pentagram.game import STANDARD_GAME
+from pentagram.linalg import STRUCTURE_TOL, frobenius_norm, matrix_to_json
 from pentagram.optimize import (
     MODES,
     PerturbationSpec,
@@ -19,8 +22,8 @@ from pentagram.optimize import (
     random_reflection,
     random_strategy,
 )
-from pentagram.rigidity import build_isometry, certify, report_to_json
-from pentagram.strategies import ReflectionStrategy, losing_terms, score, to_projective, to_reflection
+from pentagram.rigidity import build_isometry, certify, consistency_residuals, report_to_json
+from pentagram.strategies import ReflectionStrategy, losing_terms, score, to_projective, to_reflection, validate
 from test_loop_references import junk_register_strategy
 
 seeds = st.integers(0, 2**32 - 1)
@@ -157,3 +160,57 @@ def test_bob_best_response_commutes_with_conjugation(r):
     best, mirrored = bob_best_response(r), bob_best_response(conjugated(r))
     for v in r.game.vertices:
         assert np.array_equal(mirrored.bob[v], best.bob[v].conj())
+
+
+def relabellings():
+    """The 24 label-preserving automorphisms as (context map, vertex map): each permutation of C, D, E and F, fixing G.
+
+    A vertex is where its two contexts meet, so it goes to where their images meet.
+    """
+    game = STANDARD_GAME
+    meet = {frozenset(game.contexts_of(v)): v for v in game.vertices}
+    for image in permutations("CDEF"):
+        pi = {**dict(zip("CDEF", image)), "G": "G"}
+        yield pi, {v: meet[frozenset(pi[j] for j in game.contexts_of(v))] for v in game.vertices}
+
+
+def relabelled(r: ReflectionStrategy, pi: dict, sigma: dict) -> ReflectionStrategy:
+    """r with R[j][v] moved to R[pi[j]][sigma[v]] and S[v] to S[sigma[v]]; L is unchanged."""
+    return ReflectionStrategy(
+        L=r.L,
+        alice={pi[j]: {sigma[v]: m for v, m in ctx.items()} for j, ctx in r.alice.items()},
+        bob={sigma[v]: m for v, m in r.bob.items()},
+    )
+
+
+# fixed cases, as measured on the default, Haswell and Prescott kernels
+@pytest.mark.parametrize(
+    "r",
+    [
+        perturb_ideal(PerturbationSpec(delta, seed, mode))
+        for delta in (0.01, 0.3)
+        for seed in (1, 2)
+        for mode in ("combined", "context-unitaries")
+    ]
+    + [random_strategy(s) for s in (0, 1, 2)],
+)
+def test_relabelling_permutes_the_measures(r):
+    """Relabelling by an automorphism permutes the per-question and per-vertex measures and keeps the rest.
+
+    Each losing term, consistency residual and context change is computed alone from the operators it names, and
+    each validation maximum over the same matrices up to order (a commutator may change sign), so these are exact.
+    The context product multiplies in another order and the score sums in another, so those agree to rounding.
+    Residuals that depend on the register choice (state and operator residuals) do not permute.
+    """
+    terms, consistency, changes = losing_terms(r), consistency_residuals(r), certify(r).context_change_residuals
+    validation, win = validate(r, STRUCTURE_TOL), score(r)
+    exact = ("hermiticity", "involution", "commutation", "state_norm")
+    for pi, sigma in relabellings():
+        moved = relabelled(r, pi, sigma)
+        assert losing_terms(moved) == {(pi[j], sigma[v]): t for (j, v), t in terms.items()}
+        assert consistency_residuals(moved) == {(pi[j], sigma[v]): x for (j, v), x in consistency.items()}
+        assert certify(moved).context_change_residuals == {sigma[v]: x for v, x in changes.items()}
+        report = validate(moved, STRUCTURE_TOL)
+        assert [getattr(report, f) for f in exact] == [getattr(validation, f) for f in exact]
+        assert abs(report.context_product - validation.context_product) <= 1e-15
+        assert abs(score(moved) - win) <= 1e-15

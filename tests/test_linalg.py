@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,14 @@ class TestJson:
         obj = matrix_to_json(a)
         assert obj["rows"] == 3 and obj["cols"] == 5 and len(obj["data"]) == 15
         np.testing.assert_array_equal(matrix_from_json(obj), a)
+
+    def test_transposed_signed_zeros_encode_entry_by_entry(self):
+        rng = np.random.default_rng(11)
+        a = (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))).T
+        a[0, 1], a[2, 0], a[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+        assert not a.flags.c_contiguous
+        data = [[float(z.real), float(z.imag)] for z in a.ravel()]
+        assert json.dumps(matrix_to_json(a)) == json.dumps({"rows": 3, "cols": 4, "data": data})
 
     def test_malformed(self):
         with pytest.raises(ValueError):

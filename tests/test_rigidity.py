@@ -1,6 +1,9 @@
 import json
 import pickle
 import re
+import sys
+import threading
+import time
 from functools import partial, reduce
 from itertools import product
 
@@ -554,6 +557,58 @@ def test_measures_restore_the_blas_thread_count(blas_threads, ideal):
             assert get() == 1
         assert get() == 1
     assert get() == 2
+
+
+def test_blas_scopes_in_two_threads_take_turns(blas_threads):
+    """Scopes in two threads take turns: each reads one thread inside, and the count is restored after both.
+
+    The second thread enters while the first is inside.  The first only gives it time to reach its scope and never
+    waits on it there, so turns cannot deadlock.
+    """
+    get, _ = blas_threads
+    first_left, inside = threading.Event(), {}
+
+    def second():
+        with _one_blas_thread():
+            # without turns, the first thread's exit restores 2 here, under this scope
+            first_left.wait(timeout=5)
+            inside["second"] = get()
+
+    worker = threading.Thread(target=second)
+    with _one_blas_thread():
+        worker.start()
+        time.sleep(0.05)
+        inside["first"] = get()
+    first_left.set()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert inside == {"first": 1, "second": 1}
+    assert get() == 2
+
+
+def test_blas_scopes_under_thread_stress(blas_threads):
+    """Four threads entering and leaving scopes 1,000 times each, switching often: each reads one thread inside
+    every scope, and the count is restored after all of them.  Without turns this fails in some runs, not all."""
+    get, _ = blas_threads
+    seen, interval, start = [], sys.getswitchinterval(), threading.Barrier(4)
+
+    def enter_often():
+        start.wait(timeout=10)
+        for _ in range(1000):
+            with _one_blas_thread():
+                seen.append(get())
+
+    workers = [threading.Thread(target=enter_often) for _ in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert (len(seen), set(seen), get()) == (4000, {1}, 2)
 
 
 def test_measures_multiply_on_one_blas_thread(blas_threads, monkeypatch):

@@ -11,7 +11,7 @@ from test_loop_references import junk_register_strategy
 from pentagram import strategies
 from pentagram.game import STANDARD_GAME, PentagramGame, best_classical_strategy, parity_assignments
 from pentagram.linalg import PAULI_Z, frobenius_norm, kron_all
-from pentagram.optimize import PerturbationSpec, calibrate_delta, perturb_ideal, random_strategy
+from pentagram.optimize import PerturbationSpec, calibrate_delta, haar_unitary, perturb_ideal, random_strategy
 from pentagram.rigidity import certify, word_residual
 from pentagram.strategies import (
     IDEAL_OBSERVABLES,
@@ -377,6 +377,15 @@ class TestValidationGate:
                 refuse(r)
             messages.add(str(caught.value))
         assert messages == {"strategy failed validation at tol=1e-10: involution 2.121e+00 at Bob vertex 1"}
+
+    def test_commutation_failure_names_its_pair(self, ideal):
+        u = haar_unitary(np.random.default_rng(0), 8)
+        r = replaced(ideal, alice={"C": {2: u @ ideal.alice["C"][2] @ u.conj().T}})
+        with pytest.raises(StrategyValidationError) as caught:
+            score(r)
+        assert str(caught.value).endswith(
+            "commutation 4.293e+00 at context C vertices 2, 5, context_product 1.384e+00 at context C"
+        )
 
     def test_generated_strategies_go_through_the_gate(self, monkeypatch):
         measure = strategies._validate_rows
