@@ -93,19 +93,6 @@ class ScalingRow:
     ratio_op: float
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """(count, dim, dim) stack of exactly Hermitian matrices with unit operator norm.
-
-    Each comes from complex Gaussian entries; one draw of shape
-    (count, 2, dim, dim) gives every matrix its real then imaginary part, the
-    same stream as two (dim, dim) draws per matrix.
-    """
-    x = rng.standard_normal((count, 2, dim, dim))
-    g = x[:, 0] + 1j * x[:, 1]
-    h = (g + _dagger(g)) / 2
-    return h / np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)[:, None, None]
-
-
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -126,7 +113,9 @@ def _draw(seed: int, mode: str):
     Returns (alice, bob, w, v, noise): whether each side is conjugated, the
     eigendecomposition of the Hermitian generators (contexts alphabetical,
     then Bob's vertices ascending) and the state noise scaled to unit
-    Frobenius norm.  An array is None when the mode does not use it.
+    Frobenius norm.  An array is None when the mode does not use it.  Each
+    generator, (g + g^dagger)/2 for a complex Gaussian g, is decomposed once:
+    its eigenvalues are divided by their largest modulus.
     """
     rng = np.random.default_rng(seed)
     L, a, b = _ideal_arrays()
@@ -136,7 +125,10 @@ def _draw(seed: int, mode: str):
     w = v = noise = None
     if k:
         # the ideal strategy has dim_a == dim_b, so one draw serves both sides
-        w, v = np.linalg.eigh(random_hermitian(rng, L.shape[0], k))
+        x = rng.standard_normal((k, 2, *L.shape))
+        g = x[:, 0] + 1j * x[:, 1]
+        w, v = np.linalg.eigh((g + _dagger(g)) / 2)
+        w /= np.max(np.abs(w), axis=-1, keepdims=True)
     if mode in ("state-noise", "combined"):
         noise = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
         noise /= np.linalg.norm(noise)
@@ -311,6 +303,8 @@ def scaling_study(
     index, sample index) order, and each sample's seed derives from (seed,
     delta index, sample index) alone.
     """
+    if isinstance(samples_per_delta, bool) or not isinstance(samples_per_delta, (int, np.integer)):
+        raise ValueError(f"samples_per_delta must be a non-negative integer, got {samples_per_delta!r}")
     if samples_per_delta < 0:
         raise ValueError(f"samples_per_delta must be non-negative, got {samples_per_delta}")
     PerturbationSpec(1.0, seed, mode)  # rejects a bad seed or mode, even when there are no rows

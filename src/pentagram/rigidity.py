@@ -28,10 +28,9 @@ extract_state builds both isometries, word_residual only its side's and
 consistency_residuals none; a strategy remembers the images it builds.
 No row depends on its batch.  certify's certify-only families (context
 changes, pair commutators and anticommutators, a fixed sample of change
-words) read the same stacks in stacked products in the loops' order, each
-stack within _STACK_BYTES: a pair family through index tables built at
-import, the words of one length (the context changes among them) factor by
-factor.
+words) are gaps between pairs of question or vertex words, which one kernel
+applies to R @ L from the left (Alice) or to L @ S from the right (Bob),
+factor by factor, in stacked products of at most _STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -324,53 +323,37 @@ def extract_state(r: ReflectionStrategy) -> StateExtraction:
 
 
 def _pair_tables() -> tuple[dict, dict]:
-    """Each side's commutator and anticommutator (key, i, j) tables, in vertex-pair order.
+    """Each side's commutator and anticommutator families as (keys, (m, 2, 2) words), in vertex-pair order.
 
-    Alice's i, j index game.questions(), Bob's the vertices.  An adjacent pair v < w gives Alice's commutators
-    a^shared|b^other for (a, b) = (v, w), (w, v) and Bob's v|w; any other pair gives both sides' v|w
-    anticommutator, Alice's on distinguished reflections.
+    A pair (i, j) is the words (j, i) and (i, j), first factor first: A(BL) and B(AL) for Alice's A, B = R[i], R[j],
+    (LB)A and (LA)B for Bob's S[i], S[j].  Alice's indices index game.questions(), Bob's the vertices.  An adjacent
+    pair v < w gives Alice's commutators a^shared|b^other for (a, b) = (v, w), (w, v) and Bob's v|w; any other pair
+    gives both sides' v|w anticommutator, Alice's on distinguished reflections.
     """
     game, q = STANDARD_GAME, _QUESTION_INDEX
-    comm, anti = {"alice": [], "bob": []}, {"alice": [], "bob": []}
+    comm, anti = {"alice": {}, "bob": {}}, {"alice": {}, "bob": {}}
     for (iv, v), (iw, w) in combinations(enumerate(game.vertices), 2):
         shared = set(game.contexts_of(v)) & set(game.contexts_of(w))
         if shared:
             (s,) = shared
             for a, b in ((v, w), (w, v)):
                 (other,) = set(game.contexts_of(b)) - shared
-                comm["alice"].append((f"{a}^{s}|{b}^{other}", q[s, a], q[other, b]))
-            comm["bob"].append((f"{v}|{w}", iv, iw))
+                comm["alice"][f"{a}^{s}|{b}^{other}"] = q[s, a], q[other, b]
+            comm["bob"][f"{v}|{w}"] = iv, iw
         else:
-            anti["alice"].append((f"{v}|{w}", q[DISTINGUISHED_CONTEXT[v], v], q[DISTINGUISHED_CONTEXT[w], w]))
-            anti["bob"].append((f"{v}|{w}", iv, iw))
-    return comm, anti
+            anti["alice"][f"{v}|{w}"] = q[DISTINGUISHED_CONTEXT[v], v], q[DISTINGUISHED_CONTEXT[w], w]
+            anti["bob"][f"{v}|{w}"] = iv, iw
+    return tuple(
+        {k: (list(t), np.array([((j, i), (i, j)) for i, j in t.values()])) for k, t in f.items()} for f in (comm, anti)
+    )
 
 
 _COMM_PAIRS, _ANTI_PAIRS = _pair_tables()
 
 
-# The pair and word families run in stacked products over at most this many bytes of operators: at d = 32 a larger
-# stack's temporaries are mostly faulted in fresh, page by page, on every call, which costs more than the products.
+# The word families run in stacked products over at most this many bytes of operators: at d = 32 a larger stack's
+# temporaries are mostly faulted in fresh, page by page, on every call, which costs more than the products.
 _STACK_BYTES = 2**17
-
-
-def _pair_residuals(L: np.ndarray, R: np.ndarray, S: np.ndarray):
-    """Commutator and anticommutator families over vertex pairs, from one row's L, R (20, da, da) and S (10, db, db).
-
-    Each entry is || AB -+ BA || on L, as (A @ B) @ L for Alice and (L @ B) @ A for Bob, in stacked products over as
-    many of a family's pairs as _STACK_BYTES holds of the side's operators: the whole family at d = 8.
-    """
-    comm, anti = {}, {}
-    for side, ops in (("alice", R), ("bob", S)):
-        k = max(1, _STACK_BYTES // ops[0].nbytes)
-        for out, table, combine in ((comm, _COMM_PAIRS, np.subtract), (anti, _ANTI_PAIRS, np.add)):
-            keys, i, j = map(list, zip(*table[side]))
-            out[side] = {}
-            for s in range(0, len(keys), k):
-                A, B = ops[i[s : s + k]], ops[j[s : s + k]]
-                pairs = combine(A @ B @ L, B @ A @ L) if side == "alice" else combine(L @ B @ A, L @ A @ B)
-                out[side].update(zip(keys[s : s + k], _frobenius_norms(pairs).tolist()))
-    return comm, anti
 
 
 @cache
@@ -390,18 +373,19 @@ def _change_words() -> tuple[tuple[int, np.ndarray], ...]:
     return tuple((n, np.array([word_pair(n) for _ in range(20)])) for n in (2, 3, 4, 5, 6))
 
 
-def _word_gaps(RL: np.ndarray, R: np.ndarray, words: np.ndarray) -> list[float]:
-    """|| left L - right L || per (left, right) pair of (m, 2, n) words; a context change is a vertex's two questions.
+def _word_gaps(side: str, first: np.ndarray, ops: np.ndarray, words: np.ndarray, combine=np.subtract) -> list[float]:
+    """|| combine(left L, right L) || per (left, right) pair of (m, 2, n) words on one side's operator stack ops.
 
-    A word (q_1, ..., q_n) is R[q_n] @ (... @ (R[q_1] @ L)) from RL = R @ L, factor by factor in _STACK_BYTES stacks.
+    A word (q_1, ..., q_n) is ops[q_n] @ (... @ (ops[q_1] @ L)) for Alice, from first = R @ L, and mirrored,
+    ((L @ ops[q_1]) @ ...) @ ops[q_n], for Bob, from first = L @ S; factor by factor in _STACK_BYTES stacks.
     """
-    gaps, k = [], max(1, _STACK_BYTES // (2 * R[0].nbytes))
+    gaps, k = [], max(1, _STACK_BYTES // (2 * ops[0].nbytes))
     for s in range(0, len(words), k):
         piece = words[s : s + k].reshape(-1, words.shape[-1])
-        x = RL[piece[:, 0]]
+        x = first[piece[:, 0]]
         for q in piece.T[1:]:
-            x = R[q] @ x
-        gaps += _frobenius_norms(x[::2] - x[1::2]).tolist()
+            x = ops[q] @ x if side == "alice" else x @ ops[q]
+        gaps += _frobenius_norms(combine(x[::2], x[1::2])).tolist()
     return gaps
 
 
@@ -435,8 +419,11 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
     (epsilon,), consistency, ops, (extraction,) = _core(*r._rows())
     consistency = dict(zip(r.game.questions(), map(float, consistency[0])))
     L, R, S = r._L, _by_question(r._alice, r._bob)[0], r._bob
-    comm, anti = _pair_residuals(L, R, S)
-    RL = R @ L
+    sides = {"alice": ("alice", R @ L, R), "bob": ("bob", L @ S, S)}
+    comm, anti = (
+        {side: dict(zip(keys, _word_gaps(*sides[side], words, combine))) for side, (keys, words) in f.items()}
+        for f, combine in ((_COMM_PAIRS, np.subtract), (_ANTI_PAIRS, np.add))
+    )
     bound = np.sqrt(80.0 * max(epsilon, 0.0)) + BOUND_SLACK
 
     return RigidityReport(
@@ -446,10 +433,10 @@ def certify(r: ReflectionStrategy) -> RigidityReport:
         junk=extraction.junk,
         op_residuals=dict(zip(_OP_KEYS, map(float, ops[0]))),
         consistency_residuals=consistency,
-        context_change_residuals=dict(zip(r.game.vertices, _word_gaps(RL, R, _VERTEX_QUESTIONS[:, :, None]))),
+        context_change_residuals=dict(zip(r.game.vertices, _word_gaps(*sides["alice"], _VERTEX_QUESTIONS[:, :, None]))),
         commutator_residuals=comm,
         anticommutator_residuals=anti,
-        change_word_residuals={n: max(0.0, *_word_gaps(RL, R, words)) for n, words in _change_words()},
+        change_word_residuals={n: max(0.0, *_word_gaps(*sides["alice"], words)) for n, words in _change_words()},
         consistency_bound_ok=all(res <= bound for res in consistency.values()),
         validation=report,
     )

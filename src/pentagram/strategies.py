@@ -186,7 +186,7 @@ class ProjectiveStrategy(_StackedStrategy):
     _FILE = "psi", "M", "N", [["".join(map(str, t)) for t in ts] for ts in _ALICE_KEYS], "01"
 
     def __new__(cls, psi, dim_a, dim_b, alice, bob):
-        if not all(isinstance(d, (int, np.integer)) and d > 0 for d in (dim_a, dim_b)):
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in (dim_a, dim_b)):
             raise InvalidStrategyError(f"dim_a, dim_b: {dim_a!r}, {dim_b!r}, expected positive integers")
         return cls._parsed(_stacked([("psi", psi)], (dim_a * dim_b,))[0].reshape(dim_a, dim_b), alice, bob, (2,))
 

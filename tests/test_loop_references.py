@@ -7,9 +7,12 @@ replaced, the dict-of-dicts pair and change-word families that certify now
 reads from stacks, the distinguished-reflection table they and the dense
 reference read, the per-matrix reflection check the isometry reference
 runs, the dict-of-dicts random strategy, and the per-matrix projective
-conversions and check.  The stacked kernels run the
-same floating-point operations in the same order, so every comparison is
-exact: `==` on floats and np.array_equal on matrices, with no tolerance.
+conversions and check.  Two references follow deliberate changes of the
+kernels: Alice's pair words multiply onto L as A (B L), and a random
+generator's eigenvalues are scaled after its one eigendecomposition.  The
+stacked kernels run the same floating-point operations in the same order,
+so every comparison is exact: `==` on floats and np.array_equal on
+matrices, with no tolerance.
 Every test runs on one BLAS thread, as the measures do, so that the
 references' whole products round as theirs on every kernel.
 """
@@ -58,7 +61,6 @@ from pentagram.rigidity import (
     _bell_expand,
     _change_words,
     _core,
-    _pair_residuals,
     certify,
     consistency_residuals,
     word_residual,
@@ -69,7 +71,6 @@ from pentagram.strategies import (
     ReflectionStrategy,
     ValidationReport,
     _check_projective,
-    _by_question,
     _reflection_form,
     _require_valid_rows,
     classical_embedding,
@@ -99,15 +100,15 @@ def ref_hermitian_eigendecomposition(a):
     return w, v
 
 
-def ref_exp_i_hermitian(h, scale: float) -> np.ndarray:
-    w, v = ref_hermitian_eigendecomposition(h)
+def ref_exp_i_eigen(w, v, scale: float) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
-def ref_random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+def ref_random_hermitian(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition (w, v) of a random Hermitian generator, its eigenvalues scaled to unit largest modulus."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+    w, v = ref_hermitian_eigendecomposition((g + g.conj().T) / 2)
+    return w / np.max(np.abs(w)), v
 
 
 def ideal_parts():
@@ -126,12 +127,12 @@ def ref_perturbed(spec: PerturbationSpec) -> ReflectionStrategy:
 
     if alice_on:
         for j in r.game.context_names:
-            u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_a), spec.delta)
+            u = ref_exp_i_eigen(*ref_random_hermitian(rng, r.dim_a), spec.delta)
             for v in r.game.contexts[j]:
                 alice[j][v] = u @ alice[j][v] @ u.conj().T
     if bob_on:
         for v in r.game.vertices:
-            u = ref_exp_i_hermitian(ref_random_hermitian(rng, r.dim_b), spec.delta)
+            u = ref_exp_i_eigen(*ref_random_hermitian(rng, r.dim_b), spec.delta)
             bob[v] = u @ bob[v] @ u.conj().T
     if state_on:
         w = rng.standard_normal(L.shape) + 1j * rng.standard_normal(L.shape)
@@ -261,13 +262,13 @@ def ref_pair_residuals(r: ReflectionStrategy):
             shared = next(j for j in r.game.context_names if {v, w} <= set(r.game.contexts[j]))
             for a, b in ((v, w), (w, v)):
                 other = next(j for j in r.game.contexts_of(b) if j != shared)
-                lhs = r.alice[shared][a] @ r.alice[other][b] @ L
-                rhs = r.alice[other][b] @ r.alice[shared][a] @ L
+                lhs = r.alice[shared][a] @ (r.alice[other][b] @ L)
+                rhs = r.alice[other][b] @ (r.alice[shared][a] @ L)
                 comm_alice[f"{a}^{shared}|{b}^{other}"] = frobenius_norm(lhs - rhs)
             comm_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] - L @ r.bob[v] @ r.bob[w])
         else:
             anti_alice[f"{v}|{w}"] = frobenius_norm(
-                dist.r[v] @ dist.r[w] @ L + dist.r[w] @ dist.r[v] @ L
+                dist.r[v] @ (dist.r[w] @ L) + dist.r[w] @ (dist.r[v] @ L)
             )
             anti_bob[f"{v}|{w}"] = frobenius_norm(L @ r.bob[w] @ r.bob[v] + L @ r.bob[v] @ r.bob[w])
     return (
@@ -449,11 +450,6 @@ def ordered(families: dict) -> list:
 CHANGE_WORDS = ((2, 3, 4, 5, 6), 20, 0)
 
 
-def row_stacks(r: ReflectionStrategy):
-    """certify's one-row stacks: L (da, db), questions R (20, da, da) and Bob's S (10, db, db)."""
-    return r.L, _by_question(r._alice, r._bob)[0], r._bob
-
-
 def assert_kernels_match(r: ReflectionStrategy):
     """Every stacked kernel equals its loop reference on r, exactly."""
     assert losing_terms(r) == ref_losing_terms(r)
@@ -461,8 +457,10 @@ def assert_kernels_match(r: ReflectionStrategy):
         assert validate(r, tol) == ref_validate(r, tol)
     assert consistency_residuals(r) == ref_consistency_residuals(r)
     assert_same_strategy(bob_best_response(r), ref_bob_best_response(r))
-    assert list(map(ordered, _pair_residuals(*row_stacks(r)))) == list(map(ordered, ref_pair_residuals(r)))
     report = certify(r)
+    comm, anti = ref_pair_residuals(r)
+    assert ordered(report.commutator_residuals) == ordered(comm)
+    assert ordered(report.anticommutator_residuals) == ordered(anti)
     assert ordered(report.context_change_residuals) == ordered(ref_context_change_residuals(r))
     assert ordered(report.change_word_residuals) == ordered(ref_sampled_change_words(r, *CHANGE_WORDS))
 

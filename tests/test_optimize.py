@@ -14,7 +14,6 @@ from pentagram.optimize import (
     calibrate_delta,
     fit_summary,
     perturb_ideal,
-    random_hermitian,
     random_strategy,
     rows_to_csv,
     scaling_study,
@@ -113,18 +112,28 @@ class TestPerturbIdeal:
         assert 1.8 <= slope <= 2.2
 
     def test_generator_normalization(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 8, 3)
-        assert h.shape == (3, 8, 8)
-        assert np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) == pytest.approx([1.0] * 3, abs=1e-12)
+        # each generator's eigenvalues are divided by their largest modulus, which so becomes exactly 1
+        for mode, k in (("context-unitaries", 5), ("bob-unitaries", 10), ("combined", 15)):
+            for seed in range(20):
+                _, _, w, v, _ = optimize._draw(seed, mode)
+                assert w.shape == (k, 8) and v.shape == (k, 8, 8)
+                assert np.array_equal(np.max(np.abs(w), axis=-1), np.ones(k)), (mode, seed)
+                h = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+                assert np.linalg.norm(h, ord=2, axis=(-2, -1)) == pytest.approx([1.0] * k, abs=1e-12)
 
-    def test_generators_exactly_hermitian(self):
-        # (g + g^dagger)/2 over a real scale: _draw hands them to eigh with no check
+    def test_generators_exactly_hermitian(self, monkeypatch):
+        # (g + g^dagger)/2: _draw hands them to eigh with no check
+        seen, eigh = [], np.linalg.eigh
+
+        def spy(h):
+            seen.append(np.array_equal(h, h.conj().swapaxes(-1, -2)))
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         for seed in range(200):
-            rng = np.random.default_rng(seed)
-            for dim in (1, 2, 8, 32):
-                h = random_hermitian(rng, dim, 15)
-                assert np.array_equal(h, h.conj().swapaxes(-1, -2)), (seed, dim)
+            for mode in ("context-unitaries", "bob-unitaries", "combined"):
+                optimize._draw(seed, mode)
+        assert len(seen) == 600 and all(seen)
 
 
 class TestBobBestResponse:
@@ -249,18 +258,18 @@ class TestCalibration:
 
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "state-noise"])
     def test_draws_generators_once(self, monkeypatch, mode):
-        # every step of the search reuses the one draw of (seed, mode)
-        calls = []
+        # every step of the search reuses the one draw of (seed, mode), its generators decomposed once
+        calls, eigh = [], np.linalg.eigh
 
-        def counting(rng, dim, count):
-            calls.append(count)
-            return random_hermitian(rng, dim, count)
+        def counting(h):
+            calls.append(len(h))
+            return eigh(h)
 
-        monkeypatch.setattr(optimize, "random_hermitian", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         for seed in (3, 104):
             calls.clear()
             calibrate_delta(1e-3, mode=mode, seed=seed)
-            assert len(calls) == 1
+            assert calls == [{"context-unitaries": 5, "bob-unitaries": 10, "combined": 15}[mode]]
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -375,7 +384,7 @@ class TestScalingStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep row computed a family the CSV does not report")
 
-        for name in ("_pair_residuals", "_word_gaps", "_change_words"):
+        for name in ("_word_gaps", "_change_words"):
             monkeypatch.setattr(rigidity, name, refuse)
         with pytest.raises(AssertionError):
             certify(ideal_strategy())
@@ -387,6 +396,10 @@ class TestScalingStudy:
         monkeypatch.setattr(optimize, "_study_chunk", None)
         with pytest.raises(ValueError, match="samples_per_delta must be non-negative, got -3"):
             scaling_study([1e-2], -3, seed=0)
+        for samples in (True, 1.5, 2.0, "2"):
+            message = f"samples_per_delta must be a non-negative integer, got {samples!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scaling_study([0.1], samples, seed=0)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             scaling_study([1e-2], 2, seed=-1)
         monkeypatch.undo()

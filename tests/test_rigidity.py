@@ -115,7 +115,9 @@ class TestDistinguished:
             np.testing.assert_array_equal(primes[side][0, k % 6], op)
         # Alice's anticommutators read every vertex's distinguished reflection
         questions, seen = r.game.questions(), set()
-        for key, i, j in rigidity._ANTI_PAIRS["alice"]:
+        keys, words = rigidity._ANTI_PAIRS["alice"]
+        for key, ((j, i), (i2, j2)) in zip(keys, words.tolist(), strict=True):
+            assert (i2, j2) == (i, j)
             v, w = map(int, key.split("|"))
             assert (questions[i], questions[j]) == ((DISTINGUISHED_CONTEXT[v], v), (DISTINGUISHED_CONTEXT[w], w))
             seen |= {v, w}

@@ -467,6 +467,10 @@ def _float_dim(args):
     args["dim_b"] = 8.0
 
 
+def _bool_dim(args):
+    args["dim_a"] = True
+
+
 def _small_projector(args):
     args["alice"]["C"][(0, 0, 1, 1)] = np.eye(4)
 
@@ -499,6 +503,7 @@ class TestConstructor:
             (ProjectiveStrategy, _short_psi, r"psi: shape \(3,\), expected \(64,\)"),
             (ProjectiveStrategy, _wrong_dim, r"psi: shape \(64,\), expected \(32,\)"),
             (ProjectiveStrategy, _float_dim, r"dim_a, dim_b: 8, 8.0, expected positive integers"),
+            (ProjectiveStrategy, _bool_dim, r"dim_a, dim_b: True, 8, expected positive integers"),
             (ProjectiveStrategy, _small_projector, r"alice\[C\]\[\(0, 0, 1, 1\)\]: shape \(4, 4\), expected \(8, 8\)"),
             (ProjectiveStrategy, _nan_projector, r"alice\[E\]\[\(0, 0, 0, 0\)\]: non-finite entries"),
             (ProjectiveStrategy, _ragged_pair, r"bob\[7\]: not an array of numbers"),
@@ -518,6 +523,7 @@ class TestConstructor:
             "psi-length",
             "dim",
             "float-dim",
+            "bool-dim",
             "projector-shape",
             "projective-nan",
             "ragged-pair",
